@@ -149,8 +149,10 @@ def cmd_fv_reduce(args) -> int:
     result = translate_with_parameters(
         f, sorted(params),
         oracle=lambda s: stabilize("w", s, {}, kmax=args.kmax))
-    log.info("reduced to %d component sentences, stabilized=%s",
-             len(result.sentences), result.stabilized)
+    log.info("reduced to %d component sentences, stabilized=%s, "
+             "psi blocks kept=%d dropped=%d, psi nodes=%d",
+             len(result.sentences), result.stabilized, result.blocks_kept,
+             result.blocks_dropped, result.psi_nodes)
     _emit(result.to_json())
     return EXIT_TRUE if result.stabilized else EXIT_UNSTABLE
 

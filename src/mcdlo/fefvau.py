@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 from .order import FinSet, Rat
 from .syntax import (And, App, Const, Eq, Exists, ExistsPartition, Forall,
                      Formula, FreshVars, Implies, LtEAtom, Not, Or, RAtom,
-                     SubsetAtom, Var, and_all, free_vars, or_all,
+                     SubsetAtom, Var, and_all, conjuncts, free_vars, or_all,
                      print_formula, substitute)
 from .models import EvalError, MsoFin, WsoStructure, restrict
 from .semantics import (BruteForceEvaluator, EvalReport, bruteforce_eval,
@@ -121,32 +121,29 @@ def constant_sequence(name: str) -> AcceptableSequence:
 
 def _instantiate(seq: AcceptableSequence, args: Sequence[str],
                  context: tuple[str, ...]) -> AcceptableSequence:
-    thetas = []
-    for theta in seq.thetas:
-        for formal, actual in zip(seq.arity, args):
-            theta = substitute(theta, formal, Var(actual))
-        thetas.append(theta)
+    actuals = {formal: Var(actual) for formal, actual in zip(seq.arity, args)}
     return AcceptableSequence(seq.index_formula, seq.support_vars,
-                              tuple(thetas), context)
+                              tuple(substitute(theta, actuals)
+                                    for theta in seq.thetas), context)
 
 
 def _dedup(seq: AcceptableSequence) -> AcceptableSequence:
     """Merge syntactically identical component formulas, rewriting the index
     formula's support variables accordingly."""
     seen: dict[str, str] = {}
+    merged: dict[str, Var] = {}
     kept_vars: list[str] = []
     kept_thetas: list[Formula] = []
-    phi = seq.index_formula
     for y, theta in zip(seq.support_vars, seq.thetas):
         key = print_formula(theta)
         if key in seen:
-            phi = substitute(phi, y, Var(seen[key]))
+            merged[y] = Var(seen[key])
         else:
             seen[key] = y
             kept_vars.append(y)
             kept_thetas.append(theta)
-    return AcceptableSequence(phi, tuple(kept_vars), tuple(kept_thetas),
-                              seq.arity)
+    return AcceptableSequence(substitute(seq.index_formula, merged),
+                              tuple(kept_vars), tuple(kept_thetas), seq.arity)
 
 
 def fv_reduce(phi: Formula, context: Optional[Sequence[str]] = None,
@@ -156,19 +153,16 @@ def fv_reduce(phi: Formula, context: Optional[Sequence[str]] = None,
     if context is None:
         context = tuple(sorted(free_vars(phi)))
     context = tuple(context)
-    fresh = FreshVars(prefix="Ys")
+    # support and block names share one generator, so every partition block
+    # is named apart from every other, across nesting levels too
+    fresh = FreshVars(context, prefix="Ys")
 
     def rename_supports(seq: AcceptableSequence) -> AcceptableSequence:
-        # two-phase rename: the fresh names may coincide with support names
-        # still waiting to be renamed, so route through reserved temporaries
-        mapping = {y: fresh.fresh("Ys") for y in seq.support_vars}
-        phi2 = seq.index_formula
-        for idx, old in enumerate(mapping):
-            phi2 = substitute(phi2, old, Var(f"#tmp{idx}"))
-        for idx, old in enumerate(mapping):
-            phi2 = substitute(phi2, f"#tmp{idx}", Var(mapping[old]))
-        return AcceptableSequence(phi2, tuple(mapping[y] for y in seq.support_vars),
-                                  seq.thetas, seq.arity)
+        renamed = [fresh.fresh("Ys") for _ in seq.support_vars]
+        phi2 = substitute(seq.index_formula,
+                          {y: Var(new) for y, new in zip(seq.support_vars,
+                                                          renamed)})
+        return AcceptableSequence(phi2, tuple(renamed), seq.thetas, seq.arity)
 
     def go(g: Formula, ctx: tuple[str, ...]) -> AcceptableSequence:
         if isinstance(g, RAtom):
@@ -199,25 +193,24 @@ def fv_reduce(phi: Formula, context: Optional[Sequence[str]] = None,
             new_vars = []
             new_thetas = []
             block_of: dict[frozenset, str] = {}
-            for idx, sigma in enumerate(patterns):
+            for sigma in patterns:
                 literals = [sub.thetas[j] if j in sigma else Not(sub.thetas[j])
                             for j in range(m)]
                 eta = Exists(g.var, and_all(literals)) if literals \
                     else Exists(g.var, Eq(Const("bot"), Const("bot")))
                 new_vars.append(fresh.fresh("Ys"))
                 new_thetas.append(eta)
-                block_of[sigma] = f"Zp{idx}"
-            inner = sub.index_formula
-            for j, _y in enumerate(sub.support_vars):
+                block_of[sigma] = fresh.fresh("Zp")
+            unions = {}
+            for j, y in enumerate(sub.support_vars):
                 union_term: object = None
                 for sigma in patterns:
                     if j in sigma:
                         z = Var(block_of[sigma])
                         union_term = z if union_term is None else App(
                             "union", (union_term, z))
-                if union_term is None:
-                    union_term = Const("bot")
-                inner = substitute(inner, sub.support_vars[j], union_term)
+                unions[y] = Const("bot") if union_term is None else union_term
+            inner = substitute(sub.index_formula, unions)
             guards = [SubsetAtom(Var(block_of[sigma]), Var(y))
                       for sigma, y in zip(patterns, new_vars)]
             body = and_all(guards + [inner])
@@ -376,6 +369,9 @@ class ParameterTranslation:
     sentences: list[Formula]
     reports: list[EvalReport]
     stabilized: bool
+    blocks_kept: int      # partition blocks left in psi
+    blocks_dropped: int   # dead blocks removed from psi
+    psi_nodes: int        # formula and term nodes of psi
 
     def to_json(self) -> dict:
         return {"psi": print_formula(self.psi),
@@ -441,6 +437,71 @@ def _strip_constants(phi: Formula, fresh: FreshVars):
     return go(phi), pseudo
 
 
+BOT = Const("bot")
+
+
+def _fold_bot(t):
+    """Simplify union and inter with the empty set."""
+    if not isinstance(t, App):
+        return t
+    args = tuple(_fold_bot(a) for a in t.args)
+    if t.op == "union" and BOT in args:
+        return args[1] if args[0] == BOT else args[0]
+    if t.op == "inter" and BOT in args:
+        return BOT
+    return App(t.op, args)
+
+
+def drop_dead_blocks(f: Formula) -> tuple[Formula, int, int]:
+    """Remove every partition block whose guard, a top-level conjunct of its
+    partition body, is (subset Z bot): the guard goes, bot takes the block's
+    place, and union/inter fold with bot.  Exact, because a dead block is
+    empty in every satisfying labelling.  Works top-down, so a block that
+    dies once an enclosing partition's dead blocks are gone is dropped too.
+    Returns the formula and the numbers of blocks kept and dropped."""
+    kept = dropped = 0
+
+    def go(g: Formula) -> Formula:
+        nonlocal kept, dropped
+        if isinstance(g, (Eq, SubsetAtom, LtEAtom)):
+            return type(g)(_fold_bot(g.left), _fold_bot(g.right))
+        if isinstance(g, Not):
+            return Not(go(g.body))
+        if isinstance(g, (And, Or, Implies)):
+            return type(g)(go(g.left), go(g.right))
+        if isinstance(g, ExistsPartition):
+            def is_dead_guard(c: Formula) -> bool:
+                return (isinstance(c, SubsetAtom) and isinstance(c.left, Var)
+                        and c.left.name in g.block_vars
+                        and _fold_bot(c.right) == BOT)
+
+            parts = list(conjuncts(g.body))
+            dead = {c.left.name for c in parts if is_dead_guard(c)}
+            live = tuple(z for z in g.block_vars if z not in dead)
+            kept += len(live)
+            dropped += len(dead)
+            body = substitute(and_all(c for c in parts if not is_dead_guard(c)),
+                              {z: BOT for z in dead})
+            return ExistsPartition(live, go(body))
+        return g
+
+    out = go(f)
+    return out, kept, dropped
+
+
+def _node_count(f) -> int:
+    """Formula and term nodes of a formula."""
+    if isinstance(f, (Var, Const)):
+        return 1
+    if isinstance(f, App):
+        return 1 + sum(_node_count(a) for a in f.args)
+    if isinstance(f, (Eq, SubsetAtom, LtEAtom, And, Or, Implies)):
+        return 1 + _node_count(f.left) + _node_count(f.right)
+    if isinstance(f, (Not, Exists, Forall, ExistsPartition)):
+        return 1 + _node_count(f.body)
+    return 1
+
+
 def default_sentence_oracle(sentence: Formula, kmax: int = 4) -> EvalReport:
     return stabilize("w", sentence, {}, kmax=kmax)
 
@@ -451,7 +512,8 @@ def translate_with_parameters(
         theta_cap: int = DEFAULT_THETA_CAP) -> ParameterTranslation:
     """Produce psi with W(I) |= phi(A-bar) iff the restriction to the hull of
     A-bar satisfies psi(A-bar), consulting a W(I)-sentence oracle for the
-    component truth values."""
+    component truth values.  Every gated support term goes into psi in one
+    substitution, and partition blocks the oracle gates to bot are dropped."""
     params = tuple(params)
     if set(free_vars(phi)) - set(params):
         raise EvalError("free variables of phi must be among the parameters")
@@ -484,28 +546,33 @@ def translate_with_parameters(
     patterns = [frozenset(s) for r in range(len(all_params) + 1)
                 for s in itertools.combinations(range(len(all_params)), r)]
 
+    # pseudo-parameters denote definable index elements
+    index_term = {name: Var(name) for name in params}
+    index_term.update({vname: Const(cname)
+                       for cname, (vname, _value) in pseudo.items()})
+
     def region_term(pattern: frozenset):
         term = Const("top")
         for l, name in enumerate(all_params):
-            piece = Var(name) if l in pattern else App("compl", (Var(name),))
+            piece = index_term[name]
+            if l not in pattern:
+                piece = App("compl", (piece,))
             term = App("inter", (term, piece))
         return term
 
-    psi = seq.index_formula
+    gates = {}
     for y, theta in zip(seq.support_vars, seq.thetas):
         gated = None
         for pattern in patterns:
-            inst = theta
-            for l, name in enumerate(all_params):
-                value = Const("zero") if l in pattern else Const("bot")
-                inst = substitute(inst, name, value)
+            inst = substitute(theta, {
+                name: Const("zero") if l in pattern else Const("bot")
+                for l, name in enumerate(all_params)})
             if consult(inst):
                 reg = region_term(pattern)
                 gated = reg if gated is None else App("union", (gated, reg))
-        psi = substitute(psi, y, gated if gated is not None else Const("bot"))
-
-    # pseudo-parameters denote definable index elements
-    for cname, (vname, _value) in pseudo.items():
-        psi = substitute(psi, vname, Const(cname))
+        gates[y] = gated if gated is not None else BOT
+    psi, kept, dropped = drop_dead_blocks(substitute(seq.index_formula, gates))
     return ParameterTranslation(psi=psi, sentences=sentences, reports=reports,
-                                stabilized=all_stable)
+                                stabilized=all_stable, blocks_kept=kept,
+                                blocks_dropped=dropped,
+                                psi_nodes=_node_count(psi))

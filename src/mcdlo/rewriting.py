@@ -25,7 +25,7 @@ from .order import FinSet, IntervalUnion
 from .syntax import (And, App, Const, Eq, Exists, Forall, Formula, FreshVars,
                      Implies, LtEAtom, Not, Or, SignatureError, Signature,
                      SubsetAtom, Term, Var, all_vars, and_all, contains_node,
-                     or_all, subst_term, substitute, unnest)
+                     or_all, substitute, unnest)
 from .models import EvalError
 
 
@@ -855,8 +855,7 @@ def lci_existential_rewrite(f: Formula) -> Formula:
     template = _neq_template(fresh)
 
     def differ(s: Term, t: Term) -> Formula:
-        out = substitute(template, "Uneq", s)
-        return substitute(out, "Vneq", t)
+        return substitute(template, {"Uneq": s, "Vneq": t})
 
     def neq(q1: Term, q2: Term) -> Formula:
         # interval unions differ exactly when their endpoint codes differ

@@ -19,7 +19,7 @@ from typing import Optional
 from .order import FinSet, IntervalUnion, enumerate_interval_unions
 from .syntax import (And, App, Const, Eq, Exists, ExistsPartition, Forall,
                      FreshVars, Formula, Implies, LtEAtom, Not, Or, SubsetAtom,
-                     Term, Var, all_vars, free_vars)
+                     Term, Var, all_vars, conjuncts, free_vars, substitute)
 from .models import EvalError, LciStructure, MsoFin, eval_atomic, eval_term
 
 DEFAULT_GRID_CAP = 14
@@ -53,13 +53,6 @@ class EvalReport:
 # (v contained in t, v disjoint from t, union with t prescribed).  Reading
 # those constraints off syntactically confines the witness search to an
 # interval of the subset lattice instead of the whole powerset.
-
-def _conjuncts(f: Formula):
-    if isinstance(f, And):
-        yield from _conjuncts(f.left)
-        yield from _conjuncts(f.right)
-    else:
-        yield f
 
 
 def _mask_bounds(term_eval, var: str, conjs, env: dict, top: int):
@@ -108,9 +101,9 @@ def _bounded_masks(term_eval, var: str, body: Formula, env: dict, top: int,
         if not isinstance(body, Implies):
             conjs = []
         else:
-            conjs = list(_conjuncts(body.left))
+            conjs = list(conjuncts(body.left))
     else:
-        conjs = list(_conjuncts(body))
+        conjs = list(conjuncts(body))
     lower, upper, singleton = _mask_bounds(term_eval, var, conjs, env, top)
     if lower & ~upper:
         return
@@ -239,13 +232,6 @@ class BruteForceEvaluator:
         bset = set(blocks)
         bounds: dict[str, int] = {}
         rest: list[Formula] = []
-
-        def conjuncts(g: Formula):
-            if isinstance(g, And):
-                yield from conjuncts(g.left)
-                yield from conjuncts(g.right)
-            else:
-                yield g
 
         from .syntax import term_vars
         for c in conjuncts(f.body):
@@ -502,7 +488,7 @@ class GridLEvaluator:
         lower = None
         lefts = rights = None
         unbounded = False
-        for c in _conjuncts(body):
+        for c in conjuncts(body):
             if isinstance(c, Eq):
                 for a, b in ((c.left, c.right), (c.right, c.left)):
                     if var in term_vars(b):
@@ -708,7 +694,6 @@ def _rename_bound(f: Formula, old: str, new: str) -> Formula:
     if isinstance(f, (Exists, Forall)):
         body = _rename_bound(f.body, old, new)
         if f.var == old:
-            from .syntax import rename_free
-            return type(f)(new, rename_free(body, old, new))
+            return type(f)(new, substitute(body, {old: Var(new)}))
         return type(f)(f.var, body)
     raise EvalError(f"cannot rename in {f!r}")

@@ -119,7 +119,9 @@ class RAtom:
 class ExistsPartition:
     """Index-algebra quantifier asserting the existence of a partition of the
     full index set into blocks named by `block_vars` (blocks may be empty)
-    under which `body` holds.  Serialised as (exists-partition (Z ...) f)."""
+    under which `body` holds.  Serialised as (exists-partition (Z ...) f).
+    The block variables are binders.  `fefvau.fv_reduce` names blocks apart
+    from every other block, so names are unique across nesting levels."""
     block_vars: tuple[str, ...]
     body: "Formula"
 
@@ -138,6 +140,15 @@ def and_all(parts: Iterable[Formula]) -> Formula:
     for p in parts[1:]:
         out = And(out, p)
     return out
+
+
+def conjuncts(f: Formula):
+    """The top-level conjuncts of a formula, left to right."""
+    if isinstance(f, And):
+        yield from conjuncts(f.left)
+        yield from conjuncts(f.right)
+    else:
+        yield f
 
 
 def or_all(parts: Iterable[Formula]) -> Formula:
@@ -415,56 +426,71 @@ class FreshVars:
                 return name
 
 
-def subst_term(t: Term, var: str, value: Term) -> Term:
+def _subst_term(t: Term, mapping: dict) -> Term:
     if isinstance(t, Var):
-        return value if t.name == var else t
+        return mapping.get(t.name, t)
     if isinstance(t, Const):
         return t
-    return App(t.op, tuple(subst_term(a, var, value) for a in t.args))
+    return App(t.op, tuple(_subst_term(a, mapping) for a in t.args))
 
 
-def substitute(f: Formula, var: str, value: Term) -> Formula:
-    """Capture-avoiding substitution of a term for a free variable."""
-    value_vars = term_vars(value)
+def substitute(f: Formula, mapping: dict) -> Formula:
+    """Simultaneous capture-avoiding substitution of terms for free variables.
 
-    def go(g: Formula, bound: set[str]) -> Formula:
+    `mapping` sends variable names to terms; every free occurrence is replaced
+    in one traversal, so values are never rewritten by other entries.  The
+    variables of Exists/Forall and the block variables of ExistsPartition are
+    binders: a bound name shadows its entry, and a bound name that would
+    capture a variable of a substituted value is renamed to a fresh one."""
+
+    def go(g: Formula, m: dict, vv: dict) -> Formula:
+        # vv maps each key of m to the variables of its value
         if isinstance(g, ATOM_TYPES):
-            if var in bound:
-                return g
-            return type(g)(subst_term(g.left, var, value),
-                           subst_term(g.right, var, value))
+            return type(g)(_subst_term(g.left, m), _subst_term(g.right, m))
         if isinstance(g, Not):
-            return Not(go(g.body, bound))
+            return Not(go(g.body, m, vv))
         if isinstance(g, (And, Or, Implies)):
-            return type(g)(go(g.left, bound), go(g.right, bound))
-        if isinstance(g, (Exists, Forall)):
-            if g.var == var:
+            return type(g)(go(g.left, m, vv), go(g.right, m, vv))
+        if isinstance(g, (Exists, Forall, ExistsPartition)):
+            bound = g.block_vars if isinstance(g, ExistsPartition) else (g.var,)
+            inner = {k: v for k, v in m.items() if k not in bound}
+            if not inner:
                 return g
-            if g.var in value_vars and var in free_vars(g.body):
-                fv = FreshVars(all_vars(g.body) | value_vars | {var})
-                new = fv.fresh(g.var.rstrip("0123456789") or "V")
-                body = rename_free(g.body, g.var, new)
-                return type(g)(new, go(body, bound))
-            return type(g)(g.var, go(g.body, bound))
-        if isinstance(g, ExistsPartition):
-            if var in g.block_vars:
-                return g
-            return ExistsPartition(g.block_vars, go(g.body, bound | set(g.block_vars)))
+            captured = {b for k in inner for b in bound if b in vv[k]}
+            if captured:
+                # only entries that really occur free under the binder count
+                live = free_vars(g.body)
+                inner = {k: v for k, v in inner.items() if k in live}
+                captured = {b for k in inner for b in bound if b in vv[k]}
+            if captured:
+                fresh = FreshVars(all_vars(g.body) | set(bound) | set(inner)
+                                  | set().union(*(vv[k] for k in inner)))
+                vv = dict(vv)
+                for b in sorted(captured):
+                    new = fresh.fresh(b.rstrip("0123456789") or "V")
+                    inner[b] = Var(new)
+                    vv[b] = {new}
+                bound = tuple(inner[b].name if b in captured else b
+                              for b in bound)
+            body = go(g.body, inner, vv)
+            if isinstance(g, ExistsPartition):
+                return ExistsPartition(bound, body)
+            return type(g)(bound[0], body)
         if isinstance(g, RAtom):
             # power atoms take bare variable arguments; only var-for-var works
-            if isinstance(value, Var):
-                return RAtom(g.seq, tuple(value.name if a == var else a
-                                          for a in g.args))
-            if var in g.args:
-                raise ValueError("cannot substitute a complex term into a power atom")
-            return g
+            args = []
+            for a in g.args:
+                value = m.get(a, Var(a))
+                if not isinstance(value, Var):
+                    raise ValueError(
+                        "cannot substitute a complex term into a power atom")
+                args.append(value.name)
+            return RAtom(g.seq, tuple(args))
         raise TypeError(f"not a formula: {g!r}")
 
-    return go(f, set())
-
-
-def rename_free(f: Formula, old: str, new: str) -> Formula:
-    return substitute(f, old, Var(new))
+    if not mapping:
+        return f
+    return go(f, mapping, {k: term_vars(v) for k, v in mapping.items()})
 
 
 # ---------------------------------------------------------------------------

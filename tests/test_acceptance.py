@@ -27,7 +27,7 @@ from mcdlo.syntax import (And, App, Const, Eq, Exists, Forall, FreshVars,
                           LtEAtom, Not, Or, RAtom, SIGNATURES, SubsetAtom,
                           Var, free_vars, parse, print_formula)
 
-from conftest import POOL3, POOL4, POOL5, POOL6, subsets_of
+from conftest import PARAM_CORPUS, POOL3, POOL4, POOL5, POOL6, subsets_of
 
 W = WsoStructure()
 MO = SIGNATURES["mo"]
@@ -274,30 +274,6 @@ def test_criterion_06_fv_reduction_on_powers():
             failures += direct != via
     report(6, "first-order variable reduction", failures, cases,
            time.time() - t0, 30.0)
-
-
-PARAM_CORPUS = [
-    "(subset A B)",
-    "(= A B)",
-    "(ltE A B)",
-    "(not (ltE A A))",
-    "(exists X (and (subset X A) (not (= X bot))))",
-    "(exists X (and (subset A X) (subset X B)))",
-    "(forall X (implies (subset X A) (subset X B)))",
-    "(forall X (implies (subset X A) (= X bot)))",
-    "(exists X (and (subset X A) (ltE X B)))",
-    "(exists X (ltE A X))",
-    "(forall X (implies (ltE X A) (not (= X bot))))",
-    "(and (subset A B) (not (= A B)))",
-    "(or (= A bot) (exists X (and (subset X A) (not (= X A)))))",
-    "(implies (ltE A B) (not (= B bot)))",
-    "(exists X (forall Y (implies (subset Y X) (subset Y A))))",
-    "(forall X (exists Y (and (subset Y X) (subset Y A))))",
-    "(exists X (and (not (= X bot)) (and (subset X A) (subset X B))))",
-    "(forall X (implies (and (subset X A) (subset X B)) (= X bot)))",
-    "(not (exists X (and (ltE A X) (subset X B))))",
-    "(exists X (exists Y (and (subset X A) (and (subset Y X) (subset Y B)))))",
-]
 
 
 def test_criterion_07_parameter_pipeline():

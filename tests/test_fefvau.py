@@ -7,13 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from mcdlo.fefvau import (AcceptableSequence, PowerElement, PowerStructure,
                           ThetaOverflowError, atomic_sequences,
-                          constant_sequence, decompose, funky, fv_reduce,
-                          reassemble, support, translate_with_parameters)
+                          constant_sequence, decompose, drop_dead_blocks,
+                          funky, fv_reduce, reassemble, support,
+                          translate_with_parameters)
 from mcdlo.models import MsoFin, WsoStructure, restrict
 from mcdlo.order import FinSet
-from mcdlo.semantics import bruteforce_eval, stabilize
-from mcdlo.syntax import (And, Eq, Exists, Forall, Not, Or, RAtom, Var,
+from mcdlo.semantics import BruteForceEvaluator, bruteforce_eval, stabilize
+from mcdlo.syntax import (And, App, Const, Eq, Exists, ExistsPartition, Forall,
+                          Implies, Not, Or, RAtom, SubsetAtom, Var, and_all,
                           free_vars, parse, SIGNATURES)
+
+from conftest import PARAM_CORPUS
 
 MO = SIGNATURES["mo"]
 
@@ -161,3 +165,111 @@ def test_translate_with_parameters_rejects_stray_vars():
     from mcdlo.models import EvalError
     with pytest.raises(EvalError):
         translate_with_parameters(phi, ("A",))
+
+
+# -- partition blocks of psi -------------------------------------------------
+
+BOT, TOP = Const("bot"), Const("top")
+NESTED = PARAM_CORPUS[-1]
+
+
+def partitions(f):
+    """Every ExistsPartition node of a formula, outermost first."""
+    if isinstance(f, ExistsPartition):
+        yield f
+    if isinstance(f, (And, Or, Implies)):
+        yield from partitions(f.left)
+        yield from partitions(f.right)
+    elif isinstance(f, (Not, Exists, Forall, ExistsPartition)):
+        yield from partitions(f.body)
+
+
+def conjuncts(f):
+    if isinstance(f, And):
+        return conjuncts(f.left) + conjuncts(f.right)
+    return [f]
+
+
+def dead_guards(f):
+    return [c for p in partitions(f) for c in conjuncts(p.body)
+            if isinstance(c, SubsetAtom) and isinstance(c.left, Var)
+            and c.left.name in p.block_vars and c.right == BOT]
+
+
+def block_names(f):
+    return [z for p in partitions(f) for z in p.block_vars]
+
+
+def test_nested_block_names_distinct_across_levels():
+    seqs = atomic_sequences()
+    phi = Exists("X", Exists("Y", And(
+        RAtom(seqs["subset"], ("X", "A")),
+        And(RAtom(seqs["subset"], ("Y", "X")),
+            RAtom(seqs["subset"], ("Y", "B"))))))
+    index = fv_reduce(phi, context=("A", "B")).index_formula
+    assert len(list(partitions(index))) >= 2
+    names = block_names(index)
+    assert len(names) == len(set(names))
+
+    out = translate_with_parameters(parse(NESTED, MO), ("A", "B"))
+    assert len(list(partitions(out.psi))) >= 2
+    names = block_names(out.psi)
+    assert len(names) == len(set(names))
+    assert free_vars(out.psi) <= {"A", "B"}
+    assert len(out.sentences) == 1024
+    assert out.blocks_dropped > 0
+
+
+def test_param_corpus_psi_keeps_live_blocks_only():
+    for text in PARAM_CORPUS:
+        phi = parse(text, MO)
+        out = translate_with_parameters(phi, tuple(sorted(free_vars(phi))))
+        assert dead_guards(out.psi) == [], text
+        assert out.blocks_kept == len(block_names(out.psi)), text
+        assert out.psi_nodes > 0
+
+
+def _guarded(blocks, guards, inner):
+    return ExistsPartition(tuple(blocks), and_all(
+        [SubsetAtom(Var(z), g) for z, g in zip(blocks, guards)] + [inner]))
+
+
+def u(s, t):
+    return App("union", (s, t))
+
+
+def i(s, t):
+    return App("inter", (s, t))
+
+
+A, B = Var("A"), Var("B")
+Z1, Z2, Z3 = Var("Z1"), Var("Z2"), Var("Z3")
+
+DROP_CASES = [
+    # one dead block, used under union and inter
+    (_guarded(["Z1", "Z2", "Z3"], [A, BOT, TOP],
+              And(Eq(u(Z1, Z2), A), SubsetAtom(i(Z2, B), Z3))), 1),
+    # every block dead
+    (_guarded(["Z1", "Z2"], [BOT, BOT], Eq(u(Z1, Z2), A)), 2),
+    # live blocks only
+    (_guarded(["Z1", "Z2"], [A, B], Eq(u(Z1, Z2), u(A, B))), 0),
+    # an outer dead block kills the inner block it bounds
+    (_guarded(["Z1", "Z2"], [BOT, TOP],
+              _guarded(["Z3", "W"], [Z1, u(Z1, Z2)],
+                       And(Eq(u(Z3, Var("W")), A), SubsetAtom(Z3, B)))), 2),
+]
+
+
+@pytest.mark.parametrize("f, dead", DROP_CASES)
+def test_drop_dead_blocks_is_exact(f, dead):
+    g, kept, dropped = drop_dead_blocks(f)
+    assert dropped == dead
+    assert kept + dropped == len(block_names(f))
+    assert kept == len(block_names(g))
+    assert dead_guards(g) == []
+    for n in range(4):
+        ev = BruteForceEvaluator(n)
+        for a in range(1 << n):
+            for b in range(1 << n):
+                env = {"A": a, "B": b}
+                assert ev.formula(g, env) == ev.formula(f, env), (n, a, b)

@@ -3,8 +3,10 @@ from hypothesis import given, strategies as st
 
 from mcdlo.models import MsoFin
 from mcdlo.semantics import bruteforce_eval
-from mcdlo.syntax import (And, App, Const, Eq, Exists, Forall, FreshVars,
-                          Implies, LtEAtom, Not, Or, SIGNATURES, SubsetAtom,
+from mcdlo.semantics import BruteForceEvaluator
+from mcdlo.syntax import (And, App, Const, Eq, Exists, ExistsPartition, Forall,
+                          FreshVars, Implies, LtEAtom, Not, Or, SIGNATURES,
+                          SubsetAtom,
                           SyntaxErrorAt, Var, all_vars, free_vars,
                           is_existential, is_positive_existential,
                           is_quantifier_free, is_unnested, parse,
@@ -75,7 +77,7 @@ def test_free_and_all_vars():
 
 def test_substitute_capture_avoiding():
     f = Exists("X", Eq(Var("Y"), Var("X")))
-    g = substitute(f, "Y", Var("X"))
+    g = substitute(f, {"Y": Var("X")})
     assert isinstance(g, Exists)
     assert g.var != "X"
     assert free_vars(g) == {"X"}
@@ -83,7 +85,42 @@ def test_substitute_capture_avoiding():
 
 def test_substitute_ignores_bound():
     f = Exists("X", Eq(Var("X"), Const("bot")))
-    assert substitute(f, "X", Var("Y")) == f
+    assert substitute(f, {"X": Var("Y")}) == f
+
+
+def test_substitute_is_simultaneous():
+    f = Eq(Var("X"), App("union", (Var("Y"), Var("Z"))))
+    g = substitute(f, {"X": Var("Y"), "Y": Var("X")})
+    assert g == Eq(Var("Y"), App("union", (Var("X"), Var("Z"))))
+
+
+def test_substitute_renames_capturing_partition_block():
+    """A value mentioning a block name must not be captured by the
+    partition that binds that name."""
+    f = ExistsPartition(("Z1", "Z2"), And(SubsetAtom(Var("Z1"), Var("Y")),
+                                          Eq(Var("Z2"), Var("Y"))))
+    g = substitute(f, {"Y": Var("Z2")})
+    assert free_vars(g) == {"Z2"}
+    assert "Z2" not in g.block_vars
+    for n in range(4):
+        ev = BruteForceEvaluator(n)
+        for mask in range(1 << n):
+            assert ev.formula(g, {"Z2": mask}) == ev.formula(f, {"Y": mask})
+
+
+def test_substitute_respects_partition_shadowing():
+    f = ExistsPartition(("Z1",), SubsetAtom(Var("Z1"), Var("Y")))
+    assert substitute(f, {"Z1": Var("Y")}) == f
+    g = substitute(f, {"Z1": Var("Y"), "Y": Const("bot")})
+    assert g == ExistsPartition(("Z1",), SubsetAtom(Var("Z1"), Const("bot")))
+
+
+def test_exists_partition_without_blocks_roundtrips():
+    f = ExistsPartition((), Eq(App("union", (Var("A"), Var("B"))),
+                               Const("bot")))
+    text = print_formula(f)
+    assert text == "(exists-partition () (= (union A B) bot))"
+    assert parse(text, MSOFIN) == f
 
 
 def test_fresh_vars_avoid_collisions():
