@@ -19,8 +19,8 @@ from .rewriting import (code_domain, code_to_interval_union, defeq_translate,
                         l_in_w_translate, lci_existential_rewrite,
                         qf_positive_rewrite, w_in_l_translate)
 from .semantics import EvalReport, bruteforce_eval, grid_eval, stabilize
-from .syntax import (SIGNATURES, SyntaxErrorAt, free_vars, is_positive_existential,
-                     is_quantifier_free, parse, print_formula)
+from .syntax import (SIGNATURES, SyntaxErrorAt, free_vars, is_quantifier_free,
+                     parse, print_formula)
 
 log = logging.getLogger("mcdlo")
 
@@ -127,8 +127,6 @@ def cmd_translate(args) -> int:
     if (src, dst) in DEFEQ_PAIRS:
         out = defeq_translate(f, src, dst)
     elif (src, dst) == ("wso", "lci"):
-        if is_quantifier_free(f) and not is_positive_existential(f):
-            f = qf_positive_rewrite(f)
         out = w_in_l_translate(f)
     elif (src, dst) == ("lci", "wso"):
         out = l_in_w_translate(f)

@@ -134,19 +134,6 @@ class FinSet:
         return "{" + ", ".join(str(p) for p in self.points) + "}"
 
 
-def suf_pred(a: FinSet, i: Rat, direction: str) -> Optional[Rat]:
-    """Successor or predecessor of i within a; None when undefined."""
-    if direction == "successor":
-        return a.successor(i)
-    if direction == "predecessor":
-        return a.predecessor(i)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def sinv(a: FinSet, b: FinSet) -> FinSet:
-    return a.sinv(b)
-
-
 Interval = tuple[Rat, Optional[Rat]]
 
 
@@ -297,30 +284,6 @@ class IntervalUnion:
             return "IU()"
         parts = [f"[{l}, {'inf' if r is None else r}]" for l, r in self.intervals]
         return "IU(" + " u ".join(parts) + ")"
-
-
-def iu_normalize(raw: Iterable) -> IntervalUnion:
-    return IntervalUnion.normalize(raw)
-
-
-def iu_minmax(u: IntervalUnion, side: str) -> IntervalUnion:
-    if side == "min":
-        return u.min_set()
-    if side == "max":
-        return u.max_set()
-    raise ValueError(f"unknown side {side!r}")
-
-
-def iu_member(u: IntervalUnion, p) -> bool:
-    return u.member(p)
-
-
-def iu_subset(u: IntervalUnion, v: IntervalUnion) -> bool:
-    return u.subset(v)
-
-
-def endpoints(u: IntervalUnion, side: str) -> FinSet:
-    return u.endpoints(side)
 
 
 def enumerate_interval_unions(points: Sequence[Rat],

@@ -25,6 +25,7 @@ from .order import FinSet, IntervalUnion
 from .syntax import (And, App, Const, Eq, Exists, Forall, Formula, FreshVars,
                      Implies, LtEAtom, Not, Or, SignatureError, Signature,
                      SubsetAtom, Term, Var, all_vars, and_all, contains_node,
+                     formula_ops, is_positive_existential, is_quantifier_free,
                      or_all, substitute, unnest)
 from .models import EvalError
 
@@ -576,7 +577,12 @@ def _sinv_witness_lci(a: Term, b: Term, c: Term, fresh: FreshVars) -> Formula:
 def w_in_l_translate(f: Formula) -> Formula:
     """Interpret a W(I) formula in L(I): quantifiers relativise to the
     finite sets, shared operations pass through, and the successor-preimage
-    compiles to its existential interval-union characterisation."""
+    compiles to its existential interval-union characterisation.  A
+    quantifier-free input with a negation or a difference operator is first
+    brought to positive existential form, so its image is existential."""
+    if is_quantifier_free(f) and (not is_positive_existential(f)
+                                  or formula_ops(f) & {"setminus", "delta"}):
+        f = qf_positive_rewrite(f)
     fresh = FreshVars(all_vars(f))
     f = unnest(f, fresh)
 
@@ -589,7 +595,8 @@ def w_in_l_translate(f: Formula) -> Formula:
                 return _sinv_witness_lci(a, b, other, fresh)
             if isinstance(side, App) and side.op in ("setminus", "delta"):
                 raise EvalError(
-                    "positivise first: difference operators have no L(I) image")
+                    "difference operators have no L(I) image; only a "
+                    "quantifier-free input is positivised before translation")
         return g
 
     def go(g: Formula) -> Formula:
@@ -726,14 +733,6 @@ def code_domain_formula(b: Term, c: Term, fresh: FreshVars) -> Formula:
 def code_ok_formula(b: Term, c: Term, fresh: FreshVars) -> Formula:
     """(b, c) is the code of some interval union, the empty one included."""
     return Or(And(Eq(b, BOT), Eq(c, BOT)), code_domain_formula(b, c, fresh))
-
-
-def bdd_formula(xl: Term, xr: Term, fresh: FreshVars) -> Formula:
-    """The coded interval union is bounded: empty, or its largest endpoint is
-    a proper right endpoint."""
-    bdr = _boundary(xl, xr)
-    return Or(Eq(xl, BOT),
-              Not(_subset_eq(_max(bdr), App("setminus", (xl, xr)))))
 
 
 def _max_code_formula(xl: Term, xr: Term, zl: Term, zr: Term,

@@ -13,12 +13,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .models import (LciStructure, MsoFin, WsoStructure, eval_atomic)
+from .models import (LciStructure, MsoFin, WsoStructure, eval_atomic,
+                     eval_term)
 from .order import FinSet, IntervalUnion, enumerate_interval_unions
 from .rewriting import CodePair, code_domain, defeq_translate, qf_positive_rewrite
-from .semantics import bruteforce_eval, stabilize
-from .syntax import (And, App, Const, Eq, Implies, Not, Or, SIGNATURES, Var,
-                     is_positive_existential, parse, print_formula)
+from .semantics import GridLEvaluator, bruteforce_eval, stabilize
+from .syntax import (And, App, Const, Eq, Implies, LtEAtom, Not, Or,
+                     SIGNATURES, SubsetAtom, Var, is_positive_existential,
+                     parse, print_formula)
 
 
 @dataclass(frozen=True)
@@ -207,6 +209,31 @@ def suite_membership_formula() -> SuiteResult:
     return SuiteResult("membership-formula", cases, failures)
 
 
+def suite_lci_mask_kernel() -> SuiteResult:
+    """The grid evaluator's L(I) cell-mask operations and atoms agree with
+    the interval-union structure on every pair of unions over POOL3."""
+    ev = GridLEvaluator(FinSet.from_iterable(POOL3))
+    lci = LciStructure()
+    x, y = Var("X"), Var("Y")
+    terms = [App(op, (x, y)) for op in ("union", "inter")]
+    terms += [App(op, (x,)) for op in ("min", "max", "l", "r")]
+    atoms = [atom(a, b) for atom in (Eq, SubsetAtom, LtEAtom)
+             for a, b in ((x, y), (y, x))]
+    corpus = enumerate_interval_unions(POOL3, include_end=True)
+    failures = cases = 0
+    for u in corpus:
+        for v in corpus:
+            cases += 1
+            asg = {"X": u, "Y": v}
+            env = {"X": ev.encode(u), "Y": ev.encode(v)}
+            if (any(ev.term(t, env) != ev.encode(eval_term(lci, t, asg))
+                    for t in terms)
+                    or any(ev.formula(a, env) != eval_atomic(lci, a, asg)
+                           for a in atoms)):
+                failures += 1
+    return SuiteResult("lci-mask-kernel", cases, failures)
+
+
 SUITES = [
     suite_nonempty_characterisation,
     suite_endpoint_code_domain,
@@ -215,6 +242,7 @@ SUITES = [
     suite_order_definitions,
     suite_parse_print_roundtrip,
     suite_membership_formula,
+    suite_lci_mask_kernel,
 ]
 
 

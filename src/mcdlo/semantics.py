@@ -4,8 +4,10 @@ budgeted grid semantics on W(I) / L(I), plus relativisation transformers.
 The grid semantics is a witness-search procedure: quantified set variables
 range over subsets of a finite grid grown from the assignment's points (W),
 or over canonical interval unions with endpoints in the grid, including
-unbounded variants (L).  Verdicts carry a stabilization flag comparing
-budgets k and k+1; stability is evidence, not proof, of the true verdict.
+unbounded variants (L).  Both are bitmasks searched by one quantifier loop;
+the value-level structures of `models` stay as exact references.  Verdicts
+carry a stabilization flag comparing budgets k and k+1; stability is
+evidence, not proof, of the true verdict.
 """
 
 from __future__ import annotations
@@ -14,13 +16,15 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
-from .order import FinSet, IntervalUnion, enumerate_interval_unions
+from .order import FinSet, IntervalUnion
 from .syntax import (And, App, Const, Eq, Exists, ExistsPartition, Forall,
                      FreshVars, Formula, Implies, LtEAtom, Not, Or, SubsetAtom,
-                     Term, Var, all_vars, conjuncts, free_vars, substitute)
-from .models import EvalError, LciStructure, MsoFin, eval_atomic, eval_term
+                     Term, Var, all_vars, conjuncts, free_vars, substitute,
+                     term_vars)
+from .models import EvalError, MsoFin
 
 DEFAULT_GRID_CAP = 14
 DEFAULT_MSOFIN_CAP = 16
@@ -50,15 +54,15 @@ class EvalReport:
 #
 # Witness variables introduced by the rewriting layer always come with
 # lattice constraints among the top-level conjuncts of the quantified body
-# (v contained in t, v disjoint from t, union with t prescribed).  Reading
-# those constraints off syntactically confines the witness search to an
-# interval of the subset lattice instead of the whole powerset.
+# (v contained in t or containing it, v disjoint from t, union with t
+# prescribed).  Reading those constraints off syntactically confines the
+# witness search to an interval of the subset lattice instead of the whole
+# powerset.
 
 
 def _mask_bounds(term_eval, var: str, conjs, env: dict, top: int):
     """(lower, upper, singleton) constraints every satisfying value of var
     must respect; singleton means var is empty or a single point."""
-    from .syntax import term_vars
     upper, lower = top, 0
     singleton = False
     vt = Var(var)
@@ -83,6 +87,8 @@ def _mask_bounds(term_eval, var: str, conjs, env: dict, top: int):
             if a.op == "inter":
                 if b == vt:
                     upper &= term_eval(other, env)
+                elif b == other:
+                    lower |= term_eval(other, env)
                 elif var not in term_vars(b) and term_eval(b, env) == 0:
                     upper &= top & ~term_eval(other, env)
             elif a.op == "union" and var not in term_vars(b):
@@ -92,19 +98,25 @@ def _mask_bounds(term_eval, var: str, conjs, env: dict, top: int):
     return lower, upper, singleton
 
 
+def _quantified_conjuncts(body: Formula, antecedent_only: bool) -> list:
+    """Conjuncts that constrain a quantified variable; for universal
+    quantifiers only the antecedent of an implication may constrain (other
+    values hold vacuously)."""
+    if not antecedent_only:
+        return list(conjuncts(body))
+    return list(conjuncts(body.left)) if isinstance(body, Implies) else []
+
+
 def _bounded_masks(term_eval, var: str, body: Formula, env: dict, top: int,
                    antecedent_only: bool = False):
-    """Candidate masks for a quantified variable; for universal quantifiers
-    only the antecedent of an implication may constrain (other values hold
-    vacuously)."""
-    if antecedent_only:
-        if not isinstance(body, Implies):
-            conjs = []
-        else:
-            conjs = list(conjuncts(body.left))
-    else:
-        conjs = list(conjuncts(body))
-    lower, upper, singleton = _mask_bounds(term_eval, var, conjs, env, top)
+    """Candidate masks for a quantified variable over a powerset."""
+    conjs = _quantified_conjuncts(body, antecedent_only)
+    return _submasks(*_mask_bounds(term_eval, var, conjs, env, top))
+
+
+def _submasks(lower: int, upper: int, singleton: bool):
+    """Masks between lower and upper; only the empty and one-bit ones when
+    singleton is set."""
     if lower & ~upper:
         return
     if singleton:
@@ -117,13 +129,14 @@ def _bounded_masks(term_eval, var: str, body: Formula, env: dict, top: int,
                 yield bit
             rest &= rest - 1
         return
+    # smallest first: the rewriting layer's witnesses are mostly small sets
     free = upper & ~lower
-    sub = free
+    sub = 0
     while True:
         yield sub | lower
+        sub = (sub - free) & free
         if sub == 0:
             return
-        sub = (sub - 1) & free
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +246,6 @@ class BruteForceEvaluator:
         bounds: dict[str, int] = {}
         rest: list[Formula] = []
 
-        from .syntax import term_vars
         for c in conjuncts(f.body):
             if (isinstance(c, SubsetAtom) and isinstance(c.left, Var)
                     and c.left.name in bset and c.left.name not in bounds
@@ -266,20 +278,14 @@ def bruteforce_eval(m: MsoFin, f: Formula, assignment: Optional[dict] = None,
                     constants: Optional[dict] = None) -> bool:
     """Exact truth of f in MSO(n); assignment maps variables to frozensets of
     ints (or bitmask ints)."""
-    ev = BruteForceEvaluator(m.n, cap=cap,
-                             constants={k: (v if isinstance(v, int) else ev_enc(m.n, v))
-                                        for k, v in (constants or {}).items()})
-    env = {}
-    for name, value in (assignment or {}).items():
-        env[name] = value if isinstance(value, int) else ev.encode(value)
-    return ev.formula(f, env)
+    ev = BruteForceEvaluator(m.n, cap=cap)
 
+    def encode(values: Optional[dict]) -> dict:
+        return {name: v if isinstance(v, int) else ev.encode(v)
+                for name, v in (values or {}).items()}
 
-def ev_enc(n: int, s) -> int:
-    mask = 0
-    for i in s:
-        mask |= 1 << i
-    return mask
+    ev.constants = encode(constants)
+    return ev.formula(f, encode(assignment))
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +335,49 @@ def _w_seed_points(assignment: dict) -> set:
         else:
             raise EvalError(f"bad assignment value {v!r}")
     return pts
+
+
+# ---------------------------------------------------------------------------
+# Grid evaluation: one quantifier search over masks, shared by W(I) and L(I)
+
+def _grid_formula(self, f: Formula, env: dict) -> bool:
+    """Truth over a grid evaluator's masks: atoms compare term masks (both
+    encodings are lattice embeddings whose least set bit is the minimum and
+    whose highest one decides the order atom), and quantified variables range
+    over the evaluator's witness masks."""
+    if isinstance(f, Eq):
+        return self.term(f.left, env) == self.term(f.right, env)
+    if isinstance(f, SubsetAtom):
+        a, b = self.term(f.left, env), self.term(f.right, env)
+        return a | b == b
+    if isinstance(f, LtEAtom):
+        a, b = self.term(f.left, env), self.term(f.right, env)
+        if not a or not b:
+            return False
+        return (a & -a).bit_length() < b.bit_length()
+    if isinstance(f, Not):
+        return not self.formula(f.body, env)
+    if isinstance(f, And):
+        return self.formula(f.left, env) and self.formula(f.right, env)
+    if isinstance(f, Or):
+        return self.formula(f.left, env) or self.formula(f.right, env)
+    if isinstance(f, Implies):
+        return (not self.formula(f.left, env)) or self.formula(f.right, env)
+    if isinstance(f, Exists):
+        env = dict(env)
+        for mask in self.witnesses(f.var, f.body, env):
+            env[f.var] = mask
+            if self.formula(f.body, env):
+                return True
+        return False
+    if isinstance(f, Forall):
+        env = dict(env)
+        for mask in self.witnesses(f.var, f.body, env, antecedent_only=True):
+            env[f.var] = mask
+            if not self.formula(f.body, env):
+                return False
+        return True
+    raise EvalError(f"cannot evaluate {f!r} on the grid")
 
 
 # ---------------------------------------------------------------------------
@@ -399,179 +448,141 @@ class GridWEvaluator:
             return out
         raise EvalError(f"function {op!r} undefined in W(I)")
 
-    def formula(self, f: Formula, env: dict) -> bool:
-        if isinstance(f, Eq):
-            return self.term(f.left, env) == self.term(f.right, env)
-        if isinstance(f, SubsetAtom):
-            a, b = self.term(f.left, env), self.term(f.right, env)
-            return a | b == b
-        if isinstance(f, LtEAtom):
-            a, b = self.term(f.left, env), self.term(f.right, env)
-            if not a or not b:
-                return False
-            return (a & -a).bit_length() < b.bit_length()
-        if isinstance(f, Not):
-            return not self.formula(f.body, env)
-        if isinstance(f, And):
-            return self.formula(f.left, env) and self.formula(f.right, env)
-        if isinstance(f, Or):
-            return self.formula(f.left, env) or self.formula(f.right, env)
-        if isinstance(f, Implies):
-            return (not self.formula(f.left, env)) or self.formula(f.right, env)
-        if isinstance(f, Exists):
-            env = dict(env)
-            for mask in _bounded_masks(self.term, f.var, f.body, env, self.full):
-                env[f.var] = mask
-                if self.formula(f.body, env):
-                    return True
-            return False
-        if isinstance(f, Forall):
-            env = dict(env)
-            for mask in _bounded_masks(self.term, f.var, f.body, env, self.full,
-                                       antecedent_only=True):
-                env[f.var] = mask
-                if not self.formula(f.body, env):
-                    return False
-            return True
-        raise EvalError(f"cannot evaluate {f!r} on the W(I) grid")
+    def witnesses(self, var: str, body: Formula, env: dict,
+                  antecedent_only: bool = False):
+        return _bounded_masks(self.term, var, body, env, self.full,
+                              antecedent_only)
+
+    formula = _grid_formula
 
 
 # ---------------------------------------------------------------------------
 # Grid evaluation on L(I)
 
 class GridLEvaluator:
-    """Quantified variables range over canonical interval unions with
-    endpoints in the grid, including unbounded variants."""
+    """Interval unions with endpoints in the grid as cell masks: bit 2i is
+    grid point i, bit 2i+1 the open gap above it; the last gap is the
+    unbounded tail.  A gap bit is set only with the points around it (the
+    tail only with the last point).  Term and atomic layers are exact."""
 
     def __init__(self, grid: FinSet):
-        self.grid = grid
-        self.structure = LciStructure()
-        self._candidates = None
+        self.index = {p: i for i, p in enumerate(grid.points)}
+        self.size = len(grid.points)
+        self.full = (1 << 2 * self.size) - 1
+        self.points = self.full // 3  # the even bits
+        self.tail = 1 << 2 * self.size - 1
 
-    @property
-    def candidates(self):
-        if self._candidates is None:
-            self._candidates = enumerate_interval_unions(self.grid.points,
-                                                         include_end=True)
-        return self._candidates
+    @cached_property
+    def candidates(self) -> tuple:
+        """Every valid mask; the evaluator itself never lists them."""
+        return tuple(self.valid_masks(0, self.full))
 
-    @staticmethod
-    def _from_endpoint_sets(lefts, rights):
-        """The at most one interval union with the given left and right
-        endpoint sets (sorted pairing; a missing last right endpoint marks
-        the unbounded interval)."""
-        if not (lefts.is_finite_set() and rights.is_finite_set()):
-            return []
-        lp, rp = lefts.left_endpoints().points, rights.left_endpoints().points
-        if len(rp) == len(lp):
-            raw = list(zip(lp, rp))
-        elif len(rp) == len(lp) - 1:
-            raw = list(zip(lp, rp)) + [(lp[-1], None)]
-        else:
-            return []
-        try:
-            cand = IntervalUnion(tuple(raw))
-        except ValueError:
-            return []
-        if cand.left_endpoints() != lefts.left_endpoints():
-            return []
-        if IntervalUnion.from_finset(cand.right_endpoints()) != rights:
-            return []
-        return [cand]
+    def encode(self, u: IntervalUnion) -> int:
+        mask = 0
+        for left, right in u.intervals:
+            if left not in self.index or not (right is None
+                                              or right in self.index):
+                raise EvalError(f"endpoint of {u} outside the grid")
+            hi = (self.full if right is None
+                  else (2 << 2 * self.index[right]) - 1)
+            mask |= hi & ~((1 << 2 * self.index[left]) - 1)
+        return mask
 
-    def _witnesses(self, var: str, body: Formula, env: dict):
-        """Candidate values for a quantified variable, narrowed by top-level
-        equational or subset constraints among the body's conjuncts."""
-        from .syntax import term_vars
+    def term(self, t: Term, env: dict) -> int:
+        if isinstance(t, Var):
+            try:
+                return env[t.name]
+            except KeyError:
+                raise EvalError(f"unbound variable {t.name!r}") from None
+        if isinstance(t, Const):
+            if t.name in env:
+                return env[t.name]
+            if t.name == "bot":
+                return 0
+            if t.name == "zero":
+                return 1
+            raise EvalError(f"unknown constant {t.name!r} in L(I)")
+        op = t.op
+        a = self.term(t.args[0], env)
+        if op == "union":
+            return a | self.term(t.args[1], env)
+        if op == "inter":
+            return a & self.term(t.args[1], env)
+        if op == "min":
+            return a & -a
+        if op == "max":
+            return 0 if a & self.tail or not a else 1 << (a.bit_length() - 1)
+        if op == "l":
+            return a & self.points & ~(a << 1)
+        if op == "r":
+            return a & self.points & ~(a >> 1)
+        raise EvalError(f"function {op!r} undefined in L(I)")
+
+    def valid_masks(self, lower: int, upper: int):
+        """Valid masks between lower and upper, lazily: each point set first,
+        then the gap sets its points allow."""
+        low_gaps = lower & ~self.points
+        # a gap in lower forces the points around it
+        low_points = (lower | low_gaps >> 1 | low_gaps << 1) & self.points
+        for chosen in _submasks(low_points, upper & self.points, False):
+            allowed = chosen << 1 & (chosen >> 1 | self.tail) & upper
+            for gaps in _submasks(low_gaps, allowed, False):
+                yield chosen | gaps
+
+    def _from_endpoints(self, lefts: int, rights: int) -> tuple:
+        """The at most one valid mask with these left and right endpoints:
+        the cells where more left than right endpoints have been passed."""
+        if (lefts | rights) & ~self.points:
+            return ()
+        mask = depth = 0
+        for i in range(2 * self.size):
+            depth += lefts >> i & 1
+            if depth > 0:
+                mask |= 1 << i
+            depth -= rights >> i & 1
+        points = mask & self.points
+        if points & ~(mask << 1) == lefts and points & ~(mask >> 1) == rights:
+            return (mask,)
+        return ()
+
+    def witnesses(self, var: str, body: Formula, env: dict,
+                  antecedent_only: bool = False):
+        """Masks for a quantified variable: the one an equation fixes, the
+        one its left and right endpoints fix together, else the valid masks
+        within its lattice bounds (empty or unbounded when its maximum is
+        empty)."""
+        conjs = _quantified_conjuncts(body, antecedent_only)
         vt = Var(var)
-        upper = None
-        lower = None
         lefts = rights = None
         unbounded = False
-        for c in conjuncts(body):
-            if isinstance(c, Eq):
-                for a, b in ((c.left, c.right), (c.right, c.left)):
-                    if var in term_vars(b):
-                        continue
-                    if a == vt:
-                        return [eval_term(self.structure, b, env)]
-                    if not isinstance(a, App):
-                        continue
-                    if a.op in ("l", "r", "max") and a.args == (vt,):
-                        value = eval_term(self.structure, b, env)
-                        if a.op == "l":
-                            lefts = value
-                        elif a.op == "r":
-                            rights = value
-                        elif value.is_empty():
-                            # max(v) = bot forces v empty or unbounded
-                            unbounded = True
-                    if a.op == "inter" and vt in a.args:
-                        other = a.args[0] if a.args[1] == vt else a.args[1]
-                        if other == vt or var in term_vars(other):
-                            continue
-                        if b == vt:
-                            bound = eval_term(self.structure, other, env)
-                            upper = bound if upper is None else upper.inter(bound)
-                        elif b == other:
-                            bound = eval_term(self.structure, other, env)
-                            lower = (bound if lower is None
-                                     else lower.union(bound))
-                    if a.op == "union" and vt in a.args:
-                        other = a.args[0] if a.args[1] == vt else a.args[1]
-                        if other != vt and var not in term_vars(other):
-                            bound = eval_term(self.structure, b, env)
-                            upper = bound if upper is None else upper.inter(bound)
-            elif (isinstance(c, SubsetAtom) and c.left == vt
-                    and var not in term_vars(c.right)):
-                bound = eval_term(self.structure, c.right, env)
-                upper = bound if upper is None else upper.inter(bound)
+        for c in conjs:
+            if not isinstance(c, Eq):
+                continue
+            for a, b in ((c.left, c.right), (c.right, c.left)):
+                if var in term_vars(b):
+                    continue
+                if a == vt:
+                    return (self.term(b, env),)
+                if isinstance(a, App) and a.args == (vt,):
+                    if a.op == "l":
+                        lefts = self.term(b, env)
+                    elif a.op == "r":
+                        rights = self.term(b, env)
+                    elif a.op == "max" and self.term(b, env) == 0:
+                        unbounded = True
         if lefts is not None and rights is not None:
-            pool = self._from_endpoint_sets(lefts, rights)
-        elif upper is not None and upper.is_finite_set():
-            pts = upper.left_endpoints().points
-            pool = [IntervalUnion.of_points(p for k, p in enumerate(pts)
-                                            if mask >> k & 1)
-                    for mask in range(1 << len(pts))]
-        elif upper is not None:
-            pool = [cand for cand in self.candidates if cand.subset(upper)]
-        elif lower is not None or unbounded:
-            pool = self.candidates
-        else:
-            return self.candidates
-        if lower is not None:
-            pool = [cand for cand in pool if lower.subset(cand)]
+            return self._from_endpoints(lefts, rights)
+        lower, upper, singleton = _mask_bounds(self.term, var, conjs, env,
+                                               self.full)
+        if singleton:
+            return _submasks(lower, 0 if unbounded else upper & self.points,
+                             True)
         if unbounded:
-            pool = [cand for cand in pool
-                    if cand.is_empty() or not cand.is_bounded()]
-        return pool
+            return itertools.chain((0,) if lower == 0 else (),
+                                   self.valid_masks(lower | self.tail, upper))
+        return self.valid_masks(lower, upper)
 
-    def formula(self, f: Formula, env: dict) -> bool:
-        if isinstance(f, (Eq, SubsetAtom, LtEAtom)):
-            return eval_atomic(self.structure, f, env)
-        if isinstance(f, Not):
-            return not self.formula(f.body, env)
-        if isinstance(f, And):
-            return self.formula(f.left, env) and self.formula(f.right, env)
-        if isinstance(f, Or):
-            return self.formula(f.left, env) or self.formula(f.right, env)
-        if isinstance(f, Implies):
-            return (not self.formula(f.left, env)) or self.formula(f.right, env)
-        if isinstance(f, Exists):
-            env = dict(env)
-            for cand in self._witnesses(f.var, f.body, env):
-                env[f.var] = cand
-                if self.formula(f.body, env):
-                    return True
-            return False
-        if isinstance(f, Forall):
-            env = dict(env)
-            for cand in self.candidates:
-                env[f.var] = cand
-                if not self.formula(f.body, env):
-                    return False
-            return True
-        raise EvalError(f"cannot evaluate {f!r} on the L(I) grid")
+    formula = _grid_formula
 
 
 def _verdict_at(kind: str, f: Formula, assignment: dict, k: int,
@@ -579,12 +590,11 @@ def _verdict_at(kind: str, f: Formula, assignment: dict, k: int,
     grid = make_grid(_w_seed_points(assignment), k, cap=cap)
     if kind == "w":
         ev = GridWEvaluator(grid)
-        env = {name: ev.encode(v) for name, v in assignment.items()}
-        return ev.formula(f, env)
-    if kind == "l":
+    elif kind == "l":
         ev = GridLEvaluator(grid)
-        return ev.formula(f, dict(assignment))
-    raise ValueError(f"unknown structure kind {kind!r}")
+    else:
+        raise ValueError(f"unknown structure kind {kind!r}")
+    return ev.formula(f, {name: ev.encode(v) for name, v in assignment.items()})
 
 
 def grid_eval(kind: str, f: Formula, assignment: Optional[dict] = None,

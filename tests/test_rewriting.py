@@ -171,6 +171,22 @@ def test_w_in_l_empty_first_argument_guard():
                           "C": IntervalUnion.of_points([0])}).verdict
 
 
+@pytest.mark.parametrize("text", ["(= (setminus X Y) bot)",
+                                  "(= (delta X Y) Z)"])
+def test_w_in_l_positivises_difference_operators(text):
+    wso_ext = SIGNATURES["wso"].with_extensions(setminus=True, delta=True)
+    f = parse(text, wso_ext)
+    out = w_in_l_translate(f)
+    assert is_existential(out)
+    names = sorted(free_vars(f))
+    sets = subsets_of([Fraction(0), Fraction(1, 2)])
+    for vals in itertools.product(sets, repeat=len(names)):
+        asg = dict(zip(names, vals))
+        rep = stabilize("l", out, {n: IntervalUnion.from_finset(v)
+                                   for n, v in asg.items()}, kmax=3)
+        assert rep.verdict == direct_qf(W, f, asg), asg
+
+
 def test_w_in_l_sinv_small_sample():
     f = parse("(= (msinv A B) C)", SIGNATURES["wso"])
     out = w_in_l_translate(f)

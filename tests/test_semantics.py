@@ -5,13 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcdlo.models import MsoFin, WsoStructure
-from mcdlo.order import FinSet, IntervalUnion
+from mcdlo.models import (EvalError, LciStructure, MsoFin, WsoStructure,
+                          eval_atomic, eval_term)
+from mcdlo.order import FinSet, IntervalUnion, enumerate_interval_unions
 from mcdlo.semantics import (EvalReport, GridCapError, GridLEvaluator,
                              GridSpec, GridWEvaluator, bruteforce_eval,
                              grid_eval, make_grid, relativize, stabilize)
-from mcdlo.syntax import (And, App, Const, Eq, Exists, Forall, Implies, Not,
-                          Or, SIGNATURES, SubsetAtom, Var, free_vars, parse)
+from mcdlo.syntax import (And, App, Const, Eq, Exists, Forall, Implies,
+                          LtEAtom, Not, Or, SIGNATURES, SubsetAtom, Var,
+                          free_vars, parse)
 
 WSO = SIGNATURES["wso"]
 MO = SIGNATURES["mo"]
@@ -173,6 +175,87 @@ def test_gridl_pruning_sound(f, data):
     env = {name: data.draw(st.sampled_from(ev.candidates), label=name)
            for name in names}
     assert ev.formula(f, env) == naive_gridl(ev, f, dict(env))
+
+
+# -- the L(I) cell-mask kernel against the IntervalUnion reference ----------
+
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def test_gridl_valid_masks_are_the_interval_unions():
+    for n in range(1, 9):
+        points = [Fraction(i, n) for i in range(n)]
+        ev = GridLEvaluator(FinSet.from_iterable(points))
+        masks = list(ev.valid_masks(0, ev.full))
+        assert len(set(masks)) == len(masks) == fibonacci(2 * n + 2)
+        assert sorted(masks) == sorted(
+            ev.encode(u) for u in enumerate_interval_unions(points))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, (1 << 10) - 1), st.integers(0, (1 << 10) - 1))
+def test_gridl_bounded_masks_are_the_filtered_set(lower, upper):
+    ev = GridLEvaluator(FinSet.from_iterable(Fraction(i, 5) for i in range(5)))
+    want = sorted(m for m in ev.candidates
+                  if not lower & ~m and not m & ~upper)
+    assert sorted(ev.valid_masks(lower, upper)) == want
+
+
+grids = st.sets(st.integers(1, 11), max_size=4).map(
+    lambda ks: FinSet.from_iterable([0] + [Fraction(k, 12) for k in ks]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grids, st.data())
+def test_gridl_mask_kernel_matches_lci_structure(grid, data):
+    ev = GridLEvaluator(grid)
+    unions = enumerate_interval_unions(grid.points)
+    asg = {n: data.draw(st.sampled_from(unions), label=n) for n in "XY"}
+    env = {n: ev.encode(u) for n, u in asg.items()}
+    x, y = Var("X"), Var("Y")
+    terms = [App(op, (x, y)) for op in ("union", "inter")]
+    terms += [App(op, (x,)) for op in ("min", "max", "l", "r")]
+    terms += [Const("bot"), Const("zero")]
+    for t in terms:
+        assert ev.term(t, env) == ev.encode(eval_term(LciStructure(), t, asg))
+    for atom in (Eq, SubsetAtom, LtEAtom):
+        for a, b in ((x, y), (y, x)):
+            assert ev.formula(atom(a, b), env) == \
+                eval_atomic(LciStructure(), atom(a, b), asg)
+    with pytest.raises(EvalError):
+        ev.term(App("setminus", (x, y)), env)
+
+
+def test_gridl_encode_rejects_endpoints_off_the_grid():
+    ev = GridLEvaluator(FinSet.of(0, Fraction(1, 2)))
+    for u in (IntervalUnion(((Fraction(1, 4), Fraction(1, 2)),)),
+              IntervalUnion(((Fraction(0), Fraction(1, 4)),)),
+              IntervalUnion(((Fraction(3, 4), None),))):
+        with pytest.raises(EvalError):
+            ev.encode(u)
+
+
+@pytest.mark.parametrize("text", [
+    "(exists X (and (= (l X) A) (= (r X) B)))",
+    "(exists X (and (= (max X) bot) (= (l X) A)))",
+    "(forall X (implies (= (max X) bot) (= (min X) (l X))))",
+    "(exists X (and (= (inter X A) A) (= (union X B) (union A B))))",
+])
+def test_gridl_narrowed_witnesses_match_naive_search(text):
+    """Each narrowing of the witness search agrees with a search over all
+    masks, for every pair of finite point sets (coding an interval union or
+    not)."""
+    ev = GridLEvaluator(FinSet.of(0, Fraction(1, 3), Fraction(2, 3)))
+    f = parse(text, SIGNATURES["lci"])
+    point_sets = [m for m in range(ev.full + 1) if not m & ~ev.points]
+    for a in point_sets:
+        for b in point_sets:
+            env = {"A": a, "B": b}
+            assert ev.formula(f, env) == naive_gridl(ev, f, env), (a, b)
 
 
 def test_grid_spec_contains_zero_and_grows():
