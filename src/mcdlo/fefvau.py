@@ -16,15 +16,16 @@ hull, gated by oracle-decided component sentences.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .order import FinSet, Rat
-from .syntax import (And, App, Const, Eq, Exists, ExistsPartition, Forall,
-                     Formula, FreshVars, Implies, LtEAtom, Not, Or, RAtom,
-                     SubsetAtom, Var, and_all, conjuncts, free_vars, or_all,
-                     print_formula, substitute)
+from .syntax import (ATOM_TYPES, FO_CONNECTIVES, And, App, Const, Eq, Exists,
+                     ExistsPartition, Forall, Formula, FreshVars, Implies,
+                     LtEAtom, Not, Or, RAtom, SubsetAtom, Var, all_vars,
+                     and_all, conjuncts, free_vars, map_children,
+                     print_formula, subformulas, substitute, subterms)
 from .models import EvalError, MsoFin, WsoStructure, restrict
 from .semantics import (BruteForceEvaluator, EvalReport, bruteforce_eval,
                         stabilize)
@@ -379,11 +380,11 @@ class ParameterTranslation:
                 "stabilized": self.stabilized}
 
 
-def _power_formula(phi: Formula, params: tuple[str, ...],
-                   fresh: FreshVars) -> Formula:
+def _power_formula(phi: Formula) -> Formula:
     """Replace MO atoms by power atoms; terms must be variables (constants
     are pre-normalised away by the caller)."""
     seqs = atomic_sequences()
+    names = {Eq: "=", SubsetAtom: "subset", LtEAtom: "ltE"}
 
     def term_name(t) -> str:
         if isinstance(t, Var):
@@ -391,18 +392,11 @@ def _power_formula(phi: Formula, params: tuple[str, ...],
         raise EvalError(f"parameter pipeline needs variable atoms, got {t!r}")
 
     def go(g: Formula) -> Formula:
-        if isinstance(g, Eq):
-            return RAtom(seqs["="], (term_name(g.left), term_name(g.right)))
-        if isinstance(g, SubsetAtom):
-            return RAtom(seqs["subset"], (term_name(g.left), term_name(g.right)))
-        if isinstance(g, LtEAtom):
-            return RAtom(seqs["ltE"], (term_name(g.left), term_name(g.right)))
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(go(g.left), go(g.right))
-        if isinstance(g, (Exists, Forall)):
-            return type(g)(g.var, go(g.body))
+        if isinstance(g, ATOM_TYPES):
+            return RAtom(seqs[names[type(g)]],
+                         (term_name(g.left), term_name(g.right)))
+        if isinstance(g, FO_CONNECTIVES):
+            return map_children(g, go)
         raise EvalError(f"not an MO formula: {g!r}")
 
     return go(phi)
@@ -424,14 +418,10 @@ def _strip_constants(phi: Formula, fresh: FreshVars):
         return t
 
     def go(g: Formula) -> Formula:
-        if isinstance(g, (Eq, SubsetAtom, LtEAtom)):
+        if isinstance(g, ATOM_TYPES):
             return type(g)(handle_term(g.left), handle_term(g.right))
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(go(g.left), go(g.right))
-        if isinstance(g, (Exists, Forall)):
-            return type(g)(g.var, go(g.body))
+        if isinstance(g, FO_CONNECTIVES):
+            return map_children(g, go)
         raise EvalError(f"not an MO formula: {g!r}")
 
     return go(phi), pseudo
@@ -463,12 +453,8 @@ def drop_dead_blocks(f: Formula) -> tuple[Formula, int, int]:
 
     def go(g: Formula) -> Formula:
         nonlocal kept, dropped
-        if isinstance(g, (Eq, SubsetAtom, LtEAtom)):
+        if isinstance(g, ATOM_TYPES):
             return type(g)(_fold_bot(g.left), _fold_bot(g.right))
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(go(g.left), go(g.right))
         if isinstance(g, ExistsPartition):
             def is_dead_guard(c: Formula) -> bool:
                 return (isinstance(c, SubsetAtom) and isinstance(c.left, Var)
@@ -483,23 +469,20 @@ def drop_dead_blocks(f: Formula) -> tuple[Formula, int, int]:
             body = substitute(and_all(c for c in parts if not is_dead_guard(c)),
                               {z: BOT for z in dead})
             return ExistsPartition(live, go(body))
-        return g
+        return map_children(g, go)
 
     out = go(f)
     return out, kept, dropped
 
 
-def _node_count(f) -> int:
+def _node_count(f: Formula) -> int:
     """Formula and term nodes of a formula."""
-    if isinstance(f, (Var, Const)):
-        return 1
-    if isinstance(f, App):
-        return 1 + sum(_node_count(a) for a in f.args)
-    if isinstance(f, (Eq, SubsetAtom, LtEAtom, And, Or, Implies)):
-        return 1 + _node_count(f.left) + _node_count(f.right)
-    if isinstance(f, (Not, Exists, Forall, ExistsPartition)):
-        return 1 + _node_count(f.body)
-    return 1
+    count = 0
+    for g in subformulas(f):
+        count += 1
+        if isinstance(g, ATOM_TYPES):
+            count += sum(1 for side in (g.left, g.right) for _ in subterms(side))
+    return count
 
 
 def default_sentence_oracle(sentence: Formula, kmax: int = 4) -> EvalReport:
@@ -519,12 +502,11 @@ def translate_with_parameters(
         raise EvalError("free variables of phi must be among the parameters")
     if oracle is None:
         oracle = default_sentence_oracle
-    from .syntax import all_vars as _all_vars
-    fresh = FreshVars(_all_vars(phi) | set(params), prefix="Xp")
+    fresh = FreshVars(all_vars(phi) | set(params), prefix="Xp")
     stripped, pseudo = _strip_constants(phi, fresh)
     pseudo_vars = [v for v, _val in pseudo.values()]
     all_params = params + tuple(pseudo_vars)
-    phi_pi = _power_formula(stripped, all_params, fresh)
+    phi_pi = _power_formula(stripped)
     seq = fv_reduce(phi_pi, context=all_params, theta_cap=theta_cap)
 
     sentences: list[Formula] = []

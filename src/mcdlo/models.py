@@ -12,7 +12,8 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .order import FinSet, IntervalUnion
-from .syntax import (App, Const, Eq, LtEAtom, SubsetAtom, Term, Var)
+from .syntax import (ATOM_TYPES, And, App, Const, Eq, Implies, LtEAtom, Not,
+                     Or, SubsetAtom, Term, Var)
 
 
 class EvalError(ValueError):
@@ -168,6 +169,25 @@ def eval_atomic(structure: Structure, f, assignment: dict) -> bool:
     if isinstance(f, LtEAtom):
         return structure.rel_ltE(left, right)
     raise EvalError(f"not an atomic formula: {f!r}")
+
+
+def eval_qf(structure: Structure, f, assignment: dict) -> bool:
+    """Exact truth of a quantifier-free formula: the reference the
+    quantifier searches are checked against."""
+    if isinstance(f, Not):
+        return not eval_qf(structure, f.body, assignment)
+    if isinstance(f, And):
+        return (eval_qf(structure, f.left, assignment)
+                and eval_qf(structure, f.right, assignment))
+    if isinstance(f, Or):
+        return (eval_qf(structure, f.left, assignment)
+                or eval_qf(structure, f.right, assignment))
+    if isinstance(f, Implies):
+        return (not eval_qf(structure, f.left, assignment)
+                or eval_qf(structure, f.right, assignment))
+    if isinstance(f, ATOM_TYPES):
+        return eval_atomic(structure, f, assignment)
+    raise EvalError(f"not a quantifier-free formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .order import FinSet, IntervalUnion
-from .syntax import (And, App, Const, Eq, Exists, Forall, Formula, FreshVars,
-                     Implies, LtEAtom, Not, Or, SignatureError, Signature,
-                     SubsetAtom, Term, Var, all_vars, and_all, contains_node,
-                     formula_ops, is_positive_existential, is_quantifier_free,
-                     or_all, substitute, unnest)
+from .syntax import (ATOM_TYPES, FO_CONNECTIVES, And, App, Const, Eq, Exists,
+                     Forall, Formula, FreshVars, Implies, LtEAtom, Not, Or,
+                     SignatureError, Signature, SubsetAtom, Term, Var,
+                     all_vars, and_all, formula_ops, is_positive_existential,
+                     is_quantifier_free, map_children, or_all,
+                     replace_subterm, substitute, unnest)
 from .models import EvalError
 
 
@@ -129,12 +130,6 @@ def nnf(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Positive existential rewriting over W(I)
 
-def _term_contains_op(t: Term, op: str) -> bool:
-    if isinstance(t, App):
-        return t.op == op or any(_term_contains_op(a, op) for a in t.args)
-    return False
-
-
 def _find_innermost(t: Term, op: str):
     """Leftmost App with the given op none of whose arguments contains it."""
     if isinstance(t, App):
@@ -154,14 +149,10 @@ def _rewrite_terms(f: Formula, rewriter) -> Formula:
         return t
 
     def go(g: Formula) -> Formula:
-        if isinstance(g, (Eq, SubsetAtom, LtEAtom)):
+        if isinstance(g, ATOM_TYPES):
             return type(g)(go_term(g.left), go_term(g.right))
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(go(g.left), go(g.right))
-        if isinstance(g, (Exists, Forall)):
-            return type(g)(g.var, go(g.body))
+        if isinstance(g, FO_CONNECTIVES):
+            return map_children(g, go)
         raise EvalError(f"cannot rewrite {g!r}")
 
     return go(f)
@@ -194,36 +185,22 @@ def _eliminate_setminus(f: Formula, fresh: FreshVars) -> Formula:
             return g
         a, b = target.args
         c = fresh.fresh("C")
-        rewritten = type(atom)(_replace_in_term(atom.left, target, Var(c)),
-                               _replace_in_term(atom.right, target, Var(c)))
+        rewritten = type(atom)(replace_subterm(atom.left, target, Var(c)),
+                               replace_subterm(atom.right, target, Var(c)))
         if isinstance(g, Not):
             rewritten = Not(rewritten)
         return Exists(c, And(_setminus_witness(a, b, Var(c)),
                              literal(rewritten)))
 
     def go(g: Formula) -> Formula:
-        if isinstance(g, (Eq, SubsetAtom, LtEAtom)):
+        if isinstance(g, ATOM_TYPES) or (isinstance(g, Not)
+                                         and isinstance(g.body, ATOM_TYPES)):
             return literal(g)
-        if isinstance(g, Not) and isinstance(g.body, (Eq, SubsetAtom, LtEAtom)):
-            return literal(g)
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(go(g.left), go(g.right))
-        if isinstance(g, (Exists, Forall)):
-            return type(g)(g.var, go(g.body))
+        if isinstance(g, FO_CONNECTIVES):
+            return map_children(g, go)
         raise EvalError(f"cannot rewrite {g!r}")
 
     return go(f)
-
-
-def _replace_in_term(t: Term, target: Term, replacement: Term) -> Term:
-    if t == target:
-        return replacement
-    if isinstance(t, App):
-        return App(t.op, tuple(_replace_in_term(a, target, replacement)
-                               for a in t.args))
-    return t
 
 
 def qf_positive_rewrite(f: Formula) -> Formula:
@@ -238,8 +215,6 @@ def qf_positive_rewrite(f: Formula) -> Formula:
     g = _eliminate_setminus(_expand_delta(nnf(f)), fresh)
 
     def drop_negations(h: Formula) -> Formula:
-        if isinstance(h, Eq):
-            return h
         if isinstance(h, Not):
             if not isinstance(h.body, Eq):
                 raise EvalError(f"unexpected negated atom {h.body!r} over W(I)")
@@ -250,10 +225,8 @@ def qf_positive_rewrite(f: Formula) -> Formula:
             return Exists(c1, And(_setminus_witness(q1, q2, Var(c1)),
                                   Exists(c2, And(_setminus_witness(q2, q1, Var(c2)),
                                                  Exists(y, inhabit)))))
-        if isinstance(h, (And, Or)):
-            return type(h)(drop_negations(h.left), drop_negations(h.right))
-        if isinstance(h, Exists):
-            return Exists(h.var, drop_negations(h.body))
+        if isinstance(h, (Eq, And, Or, Exists)):
+            return map_children(h, drop_negations)
         raise EvalError(f"not quantifier-free over W(I): {h!r}")
 
     return drop_negations(g)
@@ -262,28 +235,8 @@ def qf_positive_rewrite(f: Formula) -> Formula:
 def is_positive_wso(f: Formula) -> bool:
     """Syntactic check: no negation, implication, universal, difference or
     symmetric difference anywhere."""
-    if contains_node(f, (Not, Implies, Forall)):
-        return False
-    ops = set()
-
-    def collect(t: Term):
-        if isinstance(t, App):
-            ops.add(t.op)
-            for a in t.args:
-                collect(a)
-
-    def walk(g: Formula):
-        if isinstance(g, (Eq, SubsetAtom, LtEAtom)):
-            collect(g.left)
-            collect(g.right)
-        elif isinstance(g, (And, Or)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, Exists):
-            walk(g.body)
-
-    walk(f)
-    return not ops & {"setminus", "delta"}
+    return (is_positive_existential(f)
+            and not formula_ops(f) & {"setminus", "delta"})
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +402,8 @@ def _mo_to_functional(f: Formula, dst: str, fresh: FreshVars) -> Formula:
             if dst == "wso":
                 return _lte_to_wso(g.left, g.right)
             return _lte_to_msofin(g.left, g.right, fresh)
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(go(g.left), go(g.right))
-        if isinstance(g, (Exists, Forall)):
-            return type(g)(g.var, go(g.body))
+        if isinstance(g, FO_CONNECTIVES):
+            return map_children(g, go)
         raise EvalError(f"not a relational-signature formula: {g!r}")
 
     return go(f)
@@ -514,12 +463,8 @@ def _functional_to_mo(f: Formula, src: str, fresh: FreshVars) -> Formula:
             return _functional_atom_to_mo(g, src, fresh)
         if isinstance(g, (SubsetAtom, LtEAtom)):
             raise EvalError(f"relational atom {g!r} not part of {src}")
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(go(g.left), go(g.right))
-        if isinstance(g, (Exists, Forall)):
-            return type(g)(g.var, go(g.body))
+        if isinstance(g, FO_CONNECTIVES):
+            return map_children(g, go)
         raise EvalError(f"not a formula over {src}: {g!r}")
 
     return go(f)
@@ -580,8 +525,7 @@ def w_in_l_translate(f: Formula) -> Formula:
     compiles to its existential interval-union characterisation.  A
     quantifier-free input with a negation or a difference operator is first
     brought to positive existential form, so its image is existential."""
-    if is_quantifier_free(f) and (not is_positive_existential(f)
-                                  or formula_ops(f) & {"setminus", "delta"}):
+    if is_quantifier_free(f) and not is_positive_wso(f):
         f = qf_positive_rewrite(f)
     fresh = FreshVars(all_vars(f))
     f = unnest(f, fresh)
@@ -602,10 +546,8 @@ def w_in_l_translate(f: Formula) -> Formula:
     def go(g: Formula) -> Formula:
         if isinstance(g, Eq):
             return atom(g)
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(go(g.left), go(g.right))
+        if isinstance(g, (Not, And, Or, Implies)):
+            return map_children(g, go)
         if isinstance(g, Exists):
             return Exists(g.var, And(finite_set_formula(Var(g.var)), go(g.body)))
         if isinstance(g, Forall):
@@ -820,10 +762,8 @@ def l_in_w_translate(f: Formula) -> Formula:
             xl, xr = _code_terms(g.left)
             yl, yr = _code_terms(g.right)
             return phi_subset(xl, xr, yl, yr, fresh)
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(go(g.left), go(g.right))
+        if isinstance(g, (Not, And, Or, Implies)):
+            return map_children(g, go)
         if isinstance(g, (Exists, Forall)):
             l, r = _pair_names(g.var)
             guard = code_ok_formula(Var(l), Var(r), fresh)
@@ -862,14 +802,12 @@ def lci_existential_rewrite(f: Formula) -> Formula:
                   differ(App("r", (q1,)), App("r", (q2,))))
 
     def go(g: Formula) -> Formula:
-        if isinstance(g, Eq):
-            return g
         if isinstance(g, Not):
             if not isinstance(g.body, Eq):
                 raise EvalError(f"unexpected negated atom {g.body!r} over L(I)")
             return neq(g.body.left, g.body.right)
-        if isinstance(g, (And, Or)):
-            return type(g)(go(g.left), go(g.right))
+        if isinstance(g, (Eq, And, Or)):
+            return map_children(g, go)
         raise EvalError(f"not quantifier-free over L(I): {g!r}")
 
     return go(nnf(f))

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .models import (LciStructure, MsoFin, WsoStructure, eval_atomic,
-                     eval_term)
-from .order import FinSet, IntervalUnion, enumerate_interval_unions
+                     eval_qf, eval_term)
+from .order import FinSet, enumerate_interval_unions
 from .rewriting import CodePair, code_domain, defeq_translate, qf_positive_rewrite
 from .semantics import GridLEvaluator, bruteforce_eval, stabilize
-from .syntax import (And, App, Const, Eq, Implies, LtEAtom, Not, Or,
-                     SIGNATURES, SubsetAtom, Var, is_positive_existential,
-                     parse, print_formula)
+from .syntax import (And, App, Const, Eq, LtEAtom, Not, Or, SIGNATURES,
+                     SubsetAtom, Var, is_positive_existential, parse,
+                     print_formula)
 
 
 @dataclass(frozen=True)
@@ -44,29 +44,16 @@ POOL6 = (Fraction(0), Fraction(1, 6), Fraction(1, 3), Fraction(1, 2),
          Fraction(2, 3), Fraction(5, 6))
 
 
-def _subsets(pool) -> list[FinSet]:
+def subsets_of(pool) -> list[FinSet]:
     return [FinSet.from_iterable(c) for r in range(len(pool) + 1)
             for c in itertools.combinations(pool, r)]
-
-
-def _direct(structure, f, asg) -> bool:
-    """Exact evaluation of a quantifier-free formula."""
-    if isinstance(f, Not):
-        return not _direct(structure, f.body, asg)
-    if isinstance(f, And):
-        return _direct(structure, f.left, asg) and _direct(structure, f.right, asg)
-    if isinstance(f, Or):
-        return _direct(structure, f.left, asg) or _direct(structure, f.right, asg)
-    if isinstance(f, Implies):
-        return (not _direct(structure, f.left, asg)) or _direct(structure, f.right, asg)
-    return eval_atomic(structure, f, asg)
 
 
 def suite_nonempty_characterisation() -> SuiteResult:
     """A != bot iff A = {0} or {0} is contained in sinv(A u {0}, A)."""
     zero = FinSet.of(0)
     failures = 0
-    sets = _subsets(POOL6)
+    sets = subsets_of(POOL6)
     for a in sets:
         lhs = not a.is_empty()
         rhs = a == zero or zero.issubset(a.union(zero).sinv(a))
@@ -82,8 +69,8 @@ def suite_endpoint_code_domain() -> SuiteResult:
                   for u in enumerate_interval_unions(POOL4, include_end=True)
                   if not u.is_empty()}
     failures = cases = 0
-    for b in _subsets(POOL4):
-        for c in _subsets(POOL4):
+    for b in subsets_of(POOL4):
+        for c in subsets_of(POOL4):
             cases += 1
             if code_domain(b, c) != ((b, c) in realizable):
                 failures += 1
@@ -132,7 +119,7 @@ def suite_positive_rewrite() -> SuiteResult:
     rng = random.Random(7)
     w = WsoStructure()
     pool = (Fraction(0), Fraction(1, 2))
-    sets = _subsets(pool)
+    sets = subsets_of(pool)
     failures = cases = 0
     for _ in range(8):
         f = _random_wso_qf(rng)
@@ -142,7 +129,7 @@ def suite_positive_rewrite() -> SuiteResult:
             for y in sets:
                 cases += 1
                 asg = {"X": x, "Y": y}
-                want = _direct(w, f, asg)
+                want = eval_qf(w, f, asg)
                 rep = stabilize("w", out, asg, kmax=3)
                 if not syntactic or rep.verdict != want or not rep.stabilized:
                     failures += 1
@@ -155,10 +142,10 @@ def suite_order_definitions() -> SuiteResult:
     f = parse("(ltE X Y)", SIGNATURES["mo"])
     w = WsoStructure()
     tr = defeq_translate(f, "mo", "wso")
-    for x in _subsets(POOL4):
-        for y in _subsets(POOL4):
+    for x in subsets_of(POOL4):
+        for y in subsets_of(POOL4):
             cases += 1
-            if _direct(w, tr, {"X": x, "Y": y}) != w.rel_ltE(x, y):
+            if eval_qf(w, tr, {"X": x, "Y": y}) != w.rel_ltE(x, y):
                 failures += 1
     m = MsoFin(3)
     tr = defeq_translate(f, "mo", "msofin")

@@ -4,10 +4,10 @@ budgeted grid semantics on W(I) / L(I), plus relativisation transformers.
 The grid semantics is a witness-search procedure: quantified set variables
 range over subsets of a finite grid grown from the assignment's points (W),
 or over canonical interval unions with endpoints in the grid, including
-unbounded variants (L).  Both are bitmasks searched by one quantifier loop;
-the value-level structures of `models` stay as exact references.  Verdicts
-carry a stabilization flag comparing budgets k and k+1; stability is
-evidence, not proof, of the true verdict.
+unbounded variants (L).  Both, and the subsets of MSO(n), are bitmasks
+searched by one quantifier loop; the value-level structures of `models` stay
+as exact references.  Verdicts carry a stabilization flag comparing budgets
+k and k+1; stability is evidence, not proof, of the true verdict.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from functools import cached_property
 from typing import Optional
 
 from .order import FinSet, IntervalUnion
-from .syntax import (And, App, Const, Eq, Exists, ExistsPartition, Forall,
-                     FreshVars, Formula, Implies, LtEAtom, Not, Or, SubsetAtom,
-                     Term, Var, all_vars, conjuncts, free_vars, substitute,
-                     term_vars)
+from .syntax import (ATOM_TYPES, FO_CONNECTIVES, And, App, Const, Eq, Exists,
+                     ExistsPartition, Forall, FreshVars, Formula, Implies,
+                     LtEAtom, Not, Or, SubsetAtom, Term, Var, all_vars,
+                     conjuncts, map_children, substitute, term_vars)
 from .models import EvalError, MsoFin
 
 DEFAULT_GRID_CAP = 14
@@ -140,6 +140,52 @@ def _submasks(lower: int, upper: int, singleton: bool):
 
 
 # ---------------------------------------------------------------------------
+# One quantifier search over masks, shared by MSO(n), W(I) and L(I)
+
+def _grid_formula(self, f: Formula, env: dict) -> bool:
+    """Truth over an evaluator's masks: atoms compare term masks (every
+    encoding is a lattice embedding whose least set bit is the minimum and
+    whose highest one decides the order atom), quantified variables range
+    over the evaluator's witness masks, and partition quantifiers go to its
+    partition search."""
+    if isinstance(f, Eq):
+        return self.term(f.left, env) == self.term(f.right, env)
+    if isinstance(f, SubsetAtom):
+        a, b = self.term(f.left, env), self.term(f.right, env)
+        return a | b == b
+    if isinstance(f, LtEAtom):
+        a, b = self.term(f.left, env), self.term(f.right, env)
+        if not a or not b:
+            return False
+        return (a & -a).bit_length() < b.bit_length()
+    if isinstance(f, Not):
+        return not self.formula(f.body, env)
+    if isinstance(f, And):
+        return self.formula(f.left, env) and self.formula(f.right, env)
+    if isinstance(f, Or):
+        return self.formula(f.left, env) or self.formula(f.right, env)
+    if isinstance(f, Implies):
+        return (not self.formula(f.left, env)) or self.formula(f.right, env)
+    if isinstance(f, Exists):
+        env = dict(env)
+        for mask in self.witnesses(f.var, f.body, env):
+            env[f.var] = mask
+            if self.formula(f.body, env):
+                return True
+        return False
+    if isinstance(f, Forall):
+        env = dict(env)
+        for mask in self.witnesses(f.var, f.body, env, antecedent_only=True):
+            env[f.var] = mask
+            if not self.formula(f.body, env):
+                return False
+        return True
+    if isinstance(f, ExistsPartition):
+        return self.exists_partition(f, env)
+    raise EvalError(f"cannot evaluate {f!r}")
+
+
+# ---------------------------------------------------------------------------
 # Exact evaluation on MSO(n), bitmask-based
 
 class BruteForceEvaluator:
@@ -199,45 +245,14 @@ class BruteForceEvaluator:
             return self.term(t.args[0], env) >> 1
         raise EvalError(f"function {op!r} undefined in MSO({self.n})")
 
-    def formula(self, f: Formula, env: dict) -> bool:
-        if isinstance(f, Eq):
-            return self.term(f.left, env) == self.term(f.right, env)
-        if isinstance(f, SubsetAtom):
-            a, b = self.term(f.left, env), self.term(f.right, env)
-            return a | b == b
-        if isinstance(f, LtEAtom):
-            a, b = self.term(f.left, env), self.term(f.right, env)
-            if not a or not b:
-                return False
-            return (a & -a).bit_length() < b.bit_length()
-        if isinstance(f, Not):
-            return not self.formula(f.body, env)
-        if isinstance(f, And):
-            return self.formula(f.left, env) and self.formula(f.right, env)
-        if isinstance(f, Or):
-            return self.formula(f.left, env) or self.formula(f.right, env)
-        if isinstance(f, Implies):
-            return (not self.formula(f.left, env)) or self.formula(f.right, env)
-        if isinstance(f, Exists):
-            env = dict(env)
-            for mask in _bounded_masks(self.term, f.var, f.body, env, self.top):
-                env[f.var] = mask
-                if self.formula(f.body, env):
-                    return True
-            return False
-        if isinstance(f, Forall):
-            env = dict(env)
-            for mask in _bounded_masks(self.term, f.var, f.body, env, self.top,
-                                       antecedent_only=True):
-                env[f.var] = mask
-                if not self.formula(f.body, env):
-                    return False
-            return True
-        if isinstance(f, ExistsPartition):
-            return self._exists_partition(f, env)
-        raise EvalError(f"cannot evaluate {f!r}")
+    def witnesses(self, var: str, body: Formula, env: dict,
+                  antecedent_only: bool = False):
+        return _bounded_masks(self.term, var, body, env, self.top,
+                              antecedent_only)
 
-    def _exists_partition(self, f: ExistsPartition, env: dict) -> bool:
+    formula = _grid_formula
+
+    def exists_partition(self, f: ExistsPartition, env: dict) -> bool:
         """Search for a labelling of index points by blocks.  Top-level
         conjuncts of shape (subset Z t), with Z a block variable and t free of
         block variables, prune the per-point block choices."""
@@ -338,52 +353,16 @@ def _w_seed_points(assignment: dict) -> set:
 
 
 # ---------------------------------------------------------------------------
-# Grid evaluation: one quantifier search over masks, shared by W(I) and L(I)
-
-def _grid_formula(self, f: Formula, env: dict) -> bool:
-    """Truth over a grid evaluator's masks: atoms compare term masks (both
-    encodings are lattice embeddings whose least set bit is the minimum and
-    whose highest one decides the order atom), and quantified variables range
-    over the evaluator's witness masks."""
-    if isinstance(f, Eq):
-        return self.term(f.left, env) == self.term(f.right, env)
-    if isinstance(f, SubsetAtom):
-        a, b = self.term(f.left, env), self.term(f.right, env)
-        return a | b == b
-    if isinstance(f, LtEAtom):
-        a, b = self.term(f.left, env), self.term(f.right, env)
-        if not a or not b:
-            return False
-        return (a & -a).bit_length() < b.bit_length()
-    if isinstance(f, Not):
-        return not self.formula(f.body, env)
-    if isinstance(f, And):
-        return self.formula(f.left, env) and self.formula(f.right, env)
-    if isinstance(f, Or):
-        return self.formula(f.left, env) or self.formula(f.right, env)
-    if isinstance(f, Implies):
-        return (not self.formula(f.left, env)) or self.formula(f.right, env)
-    if isinstance(f, Exists):
-        env = dict(env)
-        for mask in self.witnesses(f.var, f.body, env):
-            env[f.var] = mask
-            if self.formula(f.body, env):
-                return True
-        return False
-    if isinstance(f, Forall):
-        env = dict(env)
-        for mask in self.witnesses(f.var, f.body, env, antecedent_only=True):
-            env[f.var] = mask
-            if not self.formula(f.body, env):
-                return False
-        return True
-    raise EvalError(f"cannot evaluate {f!r} on the grid")
-
-
-# ---------------------------------------------------------------------------
 # Grid evaluation on W(I)
 
-class GridWEvaluator:
+class _GridEvaluator:
+    """Base of the W(I) and L(I) grid evaluators: no partition quantifiers."""
+
+    def exists_partition(self, f: ExistsPartition, env: dict) -> bool:
+        raise EvalError(f"cannot evaluate {f!r} on the grid")
+
+
+class GridWEvaluator(_GridEvaluator):
     """Subsets of the grid as bitmasks; term/atomic layers are exact."""
 
     def __init__(self, grid: FinSet):
@@ -459,7 +438,7 @@ class GridWEvaluator:
 # ---------------------------------------------------------------------------
 # Grid evaluation on L(I)
 
-class GridLEvaluator:
+class GridLEvaluator(_GridEvaluator):
     """Interval unions with endpoints in the grid as cell masks: bit 2i is
     grid point i, bit 2i+1 the open gap above it; the last gap is the
     unbounded tail.  A gap bit is set only with the points around it (the
@@ -678,32 +657,21 @@ def relativize(f: Formula, mode, fresh: Optional[FreshVars] = None) -> Formula:
         raise ValueError(f"unknown relativisation mode {kind!r}")
 
     def go(g: Formula) -> Formula:
-        if isinstance(g, (Eq, SubsetAtom, LtEAtom)):
-            return g
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(go(g.left), go(g.right))
         if isinstance(g, Exists):
             return Exists(g.var, And(guard(g.var), go(g.body)))
         if isinstance(g, Forall):
             return Forall(g.var, Implies(guard(g.var), go(g.body)))
+        if isinstance(g, ATOM_TYPES + (Not, And, Or, Implies)):
+            return map_children(g, go)
         raise EvalError(f"cannot relativize {g!r}")
 
     return go(f)
 
 
 def _rename_bound(f: Formula, old: str, new: str) -> Formula:
-    if isinstance(f, (Eq, SubsetAtom, LtEAtom)):
-        return f
-    if isinstance(f, Not):
-        return Not(_rename_bound(f.body, old, new))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(_rename_bound(f.left, old, new),
-                       _rename_bound(f.right, old, new))
-    if isinstance(f, (Exists, Forall)):
+    if isinstance(f, (Exists, Forall)) and f.var == old:
         body = _rename_bound(f.body, old, new)
-        if f.var == old:
-            return type(f)(new, substitute(body, {old: Var(new)}))
-        return type(f)(f.var, body)
+        return type(f)(new, substitute(body, {old: Var(new)}))
+    if isinstance(f, ATOM_TYPES + FO_CONNECTIVES):
+        return map_children(f, lambda g: _rename_bound(g, old, new))
     raise EvalError(f"cannot rename in {f!r}")

@@ -8,7 +8,7 @@ head symbols are legal so translators can be total functions between tags.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 
@@ -130,6 +130,8 @@ Formula = Union[Eq, SubsetAtom, LtEAtom, Not, And, Or, Implies,
                 Exists, Forall, RAtom, ExistsPartition]
 
 ATOM_TYPES = (Eq, SubsetAtom, LtEAtom)
+# the first-order connectives and quantifiers (no RAtom, no ExistsPartition)
+FO_CONNECTIVES = (Not, And, Or, Implies, Exists, Forall)
 
 
 def and_all(parts: Iterable[Formula]) -> Formula:
@@ -159,6 +161,61 @@ def or_all(parts: Iterable[Formula]) -> Formula:
     for p in parts[1:]:
         out = Or(out, p)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Traversal
+
+# the shape of each formula node: one lookup on the exact type costs less
+# per node than a chain of isinstance tests
+_LEAF, _NOT, _BINARY, _BINDER, _PARTITION = range(5)
+_SHAPE = {Eq: _LEAF, SubsetAtom: _LEAF, LtEAtom: _LEAF, RAtom: _LEAF,
+          Not: _NOT, And: _BINARY, Or: _BINARY, Implies: _BINARY,
+          Exists: _BINDER, Forall: _BINDER, ExistsPartition: _PARTITION}
+
+
+def map_children(f: Formula, go) -> Formula:
+    """f rebuilt with go applied to each immediate subformula, left before
+    right; atoms and power atoms come back unchanged."""
+    shape = _SHAPE.get(type(f))
+    if shape == _BINARY:
+        return type(f)(go(f.left), go(f.right))
+    if shape == _NOT:
+        return Not(go(f.body))
+    if shape == _BINDER:
+        return type(f)(f.var, go(f.body))
+    if shape == _PARTITION:
+        return ExistsPartition(f.block_vars, go(f.body))
+    if shape == _LEAF:
+        return f
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def subformulas(f: Formula):
+    """Every formula node of f in preorder, left before right."""
+    # an explicit stack: nested generators would cost O(depth) per node
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        shape = _SHAPE.get(type(g))
+        if shape == _BINARY:
+            stack.append(g.right)
+            stack.append(g.left)
+        elif shape is None:
+            raise TypeError(f"not a formula: {g!r}")
+        elif shape != _LEAF:
+            stack.append(g.body)
+
+
+def subterms(t: Term):
+    """Every term node of t in preorder, arguments left to right."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        if isinstance(s, App):
+            stack.extend(reversed(s.args))
 
 
 # ---------------------------------------------------------------------------
@@ -393,19 +450,17 @@ def free_vars(f: Formula) -> set[str]:
 
 
 def all_vars(f: Formula) -> set[str]:
-    if isinstance(f, ATOM_TYPES):
-        return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, Not):
-        return all_vars(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return all_vars(f.left) | all_vars(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return all_vars(f.body) | {f.var}
-    if isinstance(f, ExistsPartition):
-        return all_vars(f.body) | set(f.block_vars)
-    if isinstance(f, RAtom):
-        return set(f.args)
-    raise TypeError(f"not a formula: {f!r}")
+    out: set[str] = set()
+    for g in subformulas(f):
+        if isinstance(g, ATOM_TYPES):
+            out |= term_vars(g.left) | term_vars(g.right)
+        elif isinstance(g, (Exists, Forall)):
+            out.add(g.var)
+        elif isinstance(g, ExistsPartition):
+            out.update(g.block_vars)
+        elif isinstance(g, RAtom):
+            out.update(g.args)
+    return out
 
 
 class FreshVars:
@@ -519,11 +574,11 @@ def _innermost_app(t: Term):
     return None
 
 
-def _replace_subterm(t: Term, target: Term, replacement: Term) -> Term:
+def replace_subterm(t: Term, target: Term, replacement: Term) -> Term:
     if t == target:
         return replacement
     if isinstance(t, App):
-        return App(t.op, tuple(_replace_subterm(a, target, replacement)
+        return App(t.op, tuple(replace_subterm(a, target, replacement)
                                for a in t.args))
     return t
 
@@ -543,9 +598,9 @@ def unnest_atom(f: Formula, fresh: FreshVars) -> Formula:
         name = fresh.fresh("U")
         hoisted.append((name, inner))
         if side == "left":
-            left = _replace_subterm(left, inner, Var(name))
+            left = replace_subterm(left, inner, Var(name))
         else:
-            right = _replace_subterm(right, inner, Var(name))
+            right = replace_subterm(right, inner, Var(name))
     core: Formula = type(f)(left, right)
     for name, term in reversed(hoisted):
         core = Exists(name, And(Eq(Var(name), term), core))
@@ -557,59 +612,34 @@ def unnest(f: Formula, fresh: Optional[FreshVars] = None) -> Formula:
     function symbol, the rest being variables and constants."""
     if fresh is None:
         fresh = FreshVars(all_vars(f))
-    if isinstance(f, ATOM_TYPES):
-        return unnest_atom(f, fresh)
-    if isinstance(f, Not):
-        return Not(unnest(f.body, fresh))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(unnest(f.left, fresh), unnest(f.right, fresh))
-    if isinstance(f, (Exists, Forall)):
-        return type(f)(f.var, unnest(f.body, fresh))
-    if isinstance(f, ExistsPartition):
-        return ExistsPartition(f.block_vars, unnest(f.body, fresh))
-    if isinstance(f, RAtom):
-        return f
-    raise TypeError(f"not a formula: {f!r}")
+
+    def go(g: Formula) -> Formula:
+        if isinstance(g, ATOM_TYPES):
+            return unnest_atom(g, fresh)
+        return map_children(g, go)
+
+    return go(f)
 
 
 def is_unnested(f: Formula) -> bool:
-    if isinstance(f, ATOM_TYPES):
-        return atom_is_unnested(f)
-    if isinstance(f, Not):
-        return is_unnested(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return is_unnested(f.left) and is_unnested(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return is_unnested(f.body)
-    if isinstance(f, ExistsPartition):
-        return is_unnested(f.body)
-    if isinstance(f, RAtom):
-        return True
-    raise TypeError(f"not a formula: {f!r}")
+    return all(atom_is_unnested(g) for g in subformulas(f)
+               if isinstance(g, ATOM_TYPES))
 
 
 # ---------------------------------------------------------------------------
 # Shape predicates used by the rewriting layer
 
+_QF_NODES = ATOM_TYPES + (RAtom, Not, And, Or, Implies)
+_PE_NODES = ATOM_TYPES + (RAtom, And, Or, Exists)
+
+
 def is_quantifier_free(f: Formula) -> bool:
-    if isinstance(f, ATOM_TYPES + (RAtom,)):
-        return True
-    if isinstance(f, Not):
-        return is_quantifier_free(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return is_quantifier_free(f.left) and is_quantifier_free(f.right)
-    return False
+    return all(isinstance(g, _QF_NODES) for g in subformulas(f))
 
 
 def is_positive_existential(f: Formula) -> bool:
     """No negation, implication or universal quantification anywhere."""
-    if isinstance(f, ATOM_TYPES + (RAtom,)):
-        return True
-    if isinstance(f, (And, Or)):
-        return is_positive_existential(f.left) and is_positive_existential(f.right)
-    if isinstance(f, Exists):
-        return is_positive_existential(f.body)
-    return False
+    return all(isinstance(g, _PE_NODES) for g in subformulas(f))
 
 
 def is_existential(f: Formula) -> bool:
@@ -636,39 +666,10 @@ def is_existential(f: Formula) -> bool:
 
 def formula_ops(f: Formula) -> set[str]:
     """All function symbols occurring anywhere in the formula."""
-
-    def term_ops(t: Term) -> set[str]:
-        if isinstance(t, App):
-            out = {t.op}
-            for a in t.args:
-                out |= term_ops(a)
-            return out
-        return set()
-
-    if isinstance(f, ATOM_TYPES):
-        return term_ops(f.left) | term_ops(f.right)
-    if isinstance(f, Not):
-        return formula_ops(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return formula_ops(f.left) | formula_ops(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return formula_ops(f.body)
-    if isinstance(f, ExistsPartition):
-        return formula_ops(f.body)
-    if isinstance(f, RAtom):
-        return set()
-    raise TypeError(f"not a formula: {f!r}")
+    return {t.op for g in subformulas(f) if isinstance(g, ATOM_TYPES)
+            for side in (g.left, g.right) for t in subterms(side)
+            if isinstance(t, App)}
 
 
 def contains_node(f: Formula, kinds) -> bool:
-    if isinstance(f, kinds):
-        return True
-    if isinstance(f, ATOM_TYPES + (RAtom,)):
-        return False
-    if isinstance(f, Not):
-        return contains_node(f.body, kinds)
-    if isinstance(f, (And, Or, Implies)):
-        return contains_node(f.left, kinds) or contains_node(f.right, kinds)
-    if isinstance(f, (Exists, Forall, ExistsPartition)):
-        return contains_node(f.body, kinds)
-    raise TypeError(f"not a formula: {f!r}")
+    return any(isinstance(g, kinds) for g in subformulas(f))

@@ -1,16 +1,11 @@
-import itertools
 from fractions import Fraction
 
 import pytest
 
-from mcdlo.order import FinSet
+from mcdlo.selftest import POOL3, POOL4, POOL6, subsets_of  # noqa: F401
 
-POOL3 = (Fraction(0), Fraction(1, 3), Fraction(2, 3))
-POOL4 = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 POOL5 = (Fraction(0), Fraction(1, 5), Fraction(2, 5), Fraction(3, 5),
          Fraction(4, 5))
-POOL6 = (Fraction(0), Fraction(1, 6), Fraction(1, 3), Fraction(1, 2),
-         Fraction(2, 3), Fraction(5, 6))
 
 # MO formulas with one or two parameters for the parameter pipeline
 PARAM_CORPUS = [
@@ -35,11 +30,6 @@ PARAM_CORPUS = [
     "(not (exists X (and (ltE A X) (subset X B))))",
     "(exists X (exists Y (and (subset X A) (and (subset Y X) (subset Y B)))))",
 ]
-
-
-def subsets_of(pool):
-    return [FinSet.from_iterable(c) for r in range(len(pool) + 1)
-            for c in itertools.combinations(pool, r)]
 
 
 @pytest.fixture(scope="session")

@@ -5,15 +5,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcdlo.models import LciStructure, MsoFin, WsoStructure, eval_atomic
+from mcdlo.fefvau import translate_with_parameters
+from mcdlo.models import (EvalError, LciStructure, MsoFin, WsoStructure,
+                          eval_atomic, eval_qf)
 from mcdlo.order import FinSet, IntervalUnion, enumerate_interval_unions
 from mcdlo.rewriting import (CodePair, code_domain, code_to_interval_union,
-                             defeq_translate, l_in_w_translate,
-                             lci_existential_rewrite, notbot_formula,
+                             defeq_translate, is_positive_wso,
+                             l_in_w_translate, lci_existential_rewrite, nnf,
+                             notbot_formula,
                              phi_mem, phi_subset, qf_positive_rewrite,
                              w_in_l_translate)
-from mcdlo.semantics import bruteforce_eval, stabilize
-from mcdlo.syntax import (And, App, Const, Eq, FreshVars, Implies, Not, Or,
+from mcdlo.semantics import bruteforce_eval, relativize, stabilize
+from mcdlo.syntax import (And, App, Const, Eq, FreshVars, Not, Or,
                           SIGNATURES, Var, formula_ops, free_vars,
                           is_existential, is_positive_existential, parse,
                           print_formula)
@@ -24,24 +27,12 @@ W = WsoStructure()
 L = LciStructure()
 
 
-def direct_qf(structure, f, asg):
-    if isinstance(f, Not):
-        return not direct_qf(structure, f.body, asg)
-    if isinstance(f, And):
-        return direct_qf(structure, f.left, asg) and direct_qf(structure, f.right, asg)
-    if isinstance(f, Or):
-        return direct_qf(structure, f.left, asg) or direct_qf(structure, f.right, asg)
-    if isinstance(f, Implies):
-        return (not direct_qf(structure, f.left, asg)) or direct_qf(structure, f.right, asg)
-    return eval_atomic(structure, f, asg)
-
-
 # -- nonempty characterisation ----------------------------------------------
 
 def test_notbot_formula_semantics(subs4):
     f = notbot_formula(Var("A"))
     for a in subs4:
-        assert direct_qf(W, f, {"A": a}) == (not a.is_empty())
+        assert eval_qf(W, f, {"A": a}) == (not a.is_empty())
 
 
 # -- endpoint codes ----------------------------------------------------------
@@ -125,7 +116,7 @@ def test_defeq_subset_is_lattice_inclusion():
     out = defeq_translate(f, "mo", "wso")
     for x in subsets_of(POOL3):
         for y in subsets_of(POOL3):
-            assert direct_qf(W, out, {"X": x, "Y": y}) == x.issubset(y)
+            assert eval_qf(W, out, {"X": x, "Y": y}) == x.issubset(y)
 
 
 def test_defeq_lte_to_msofin():
@@ -184,7 +175,7 @@ def test_w_in_l_positivises_difference_operators(text):
         asg = dict(zip(names, vals))
         rep = stabilize("l", out, {n: IntervalUnion.from_finset(v)
                                    for n, v in asg.items()}, kmax=3)
-        assert rep.verdict == direct_qf(W, f, asg), asg
+        assert rep.verdict == eval_qf(W, f, asg), asg
 
 
 def test_w_in_l_sinv_small_sample():
@@ -255,7 +246,7 @@ def test_membership_and_inclusion_formulas_spot():
     for z, want in [(Fraction(1, 6), True), (Fraction(1, 2), False),
                     (Fraction(5, 6), True)]:
         asg = {"Xl": pair.left, "Xr": pair.right, "Z": FinSet.of(z)}
-        assert direct_qf(W, mem, asg) == want, z
+        assert eval_qf(W, mem, asg) == want, z
 
 
 # -- quantifier-free L(I) to existential L(I) --------------------------------
@@ -313,3 +304,37 @@ def test_lci_existential_rewrite_syntactic_on_random_input():
     for _ in range(50):
         f = rand_formula(rng.randint(1, 3))
         assert is_existential(lci_existential_rewrite(f))
+
+
+# -- partition quantifiers are outside every translator's input ---------------
+
+PARTITION = "(exists-partition (Z) (= Z bot))"
+REJECTS_PARTITION = {
+    "nnf": nnf,
+    "qf_positive_rewrite": qf_positive_rewrite,
+    "w_in_l_translate": w_in_l_translate,
+    "l_in_w_translate": l_in_w_translate,
+    "lci_existential_rewrite": lci_existential_rewrite,
+    "mo>msofin": lambda f: defeq_translate(f, "mo", "msofin"),
+    "mo>wso": lambda f: defeq_translate(f, "mo", "wso"),
+    "msofin>mo": lambda f: defeq_translate(f, "msofin", "mo"),
+    "wso>mo": lambda f: defeq_translate(f, "wso", "mo"),
+    "relativize-element": lambda f: relativize(f, ("element", "Y")),
+    "relativize-interval": lambda f: relativize(f, ("interval", "I", "J")),
+    "translate_with_parameters": lambda f: translate_with_parameters(f, ()),
+    "stabilize-w": lambda f: stabilize("w", f),
+    "stabilize-l": lambda f: stabilize("l", f),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTS_PARTITION))
+def test_partition_quantifier_raises_eval_error(name):
+    # every signature parses it to this same node
+    f = parse(PARTITION, SIGNATURES["mo"])
+    with pytest.raises(EvalError):
+        REJECTS_PARTITION[name](f)
+
+
+def test_is_positive_wso_rejects_partition_quantifier():
+    assert is_positive_wso(parse("(exists X (= X bot))", SIGNATURES["wso"]))
+    assert not is_positive_wso(parse(PARTITION, SIGNATURES["wso"]))

@@ -1,16 +1,17 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mcdlo.models import MsoFin
 from mcdlo.semantics import bruteforce_eval
 from mcdlo.semantics import BruteForceEvaluator
 from mcdlo.syntax import (And, App, Const, Eq, Exists, ExistsPartition, Forall,
-                          FreshVars, Implies, LtEAtom, Not, Or, SIGNATURES,
-                          SubsetAtom,
+                          FreshVars, Implies, LtEAtom, Not, Or, RAtom,
+                          SIGNATURES, SubsetAtom,
                           SyntaxErrorAt, Var, all_vars, free_vars,
                           is_existential, is_positive_existential,
-                          is_quantifier_free, is_unnested, parse,
-                          print_formula, substitute, unnest)
+                          is_quantifier_free, is_unnested, map_children,
+                          parse, print_formula, subformulas, substitute,
+                          subterms, unnest)
 
 WSO = SIGNATURES["wso"]
 MSOFIN = SIGNATURES["msofin"]
@@ -156,6 +157,7 @@ msofin_formulas = st.recursive(
 
 
 @given(msofin_formulas)
+@settings(deadline=None)
 def test_unnest_preserves_truth_msofin(f):
     m = MsoFin(3)
     g = unnest(f, FreshVars(all_vars(f)))
@@ -177,3 +179,48 @@ def test_syntactic_classes():
     assert is_existential(ex) and not is_positive_existential(ex)
     assert not is_existential(parse("(forall X (= X X))", WSO))
     assert not is_existential(parse("(not (exists X (= X Y)))", WSO))
+
+
+# -- traversal helpers -------------------------------------------------------
+
+X, Y = Var("X"), Var("Y")
+EVERY_NODE_KIND = [
+    Eq(X, Y), SubsetAtom(X, Y), LtEAtom(X, Y), Not(Eq(X, Y)),
+    And(Eq(X, Y), Eq(Y, X)), Or(Eq(X, Y), Eq(Y, X)),
+    Implies(Eq(X, Y), Eq(Y, X)), Exists("X", Eq(X, Y)),
+    Forall("X", Eq(X, Y)), ExistsPartition(("Z1", "Z2"), Eq(Var("Z1"), Y)),
+    RAtom("seq", ("X", "Y")),
+]
+
+
+@pytest.mark.parametrize("f", EVERY_NODE_KIND, ids=lambda f: type(f).__name__)
+def test_map_children_identity(f):
+    assert map_children(f, lambda g: g) == f
+
+
+def test_map_children_visits_left_before_right():
+    seen = []
+    f = parse("(implies (= X Y) (or (= Y X) (= X bot)))", WSO)
+    map_children(f, lambda g: seen.append(print_formula(g)) or g)
+    assert seen == ["(= X Y)", "(or (= Y X) (= X bot))"]
+
+
+def test_subformulas_preorder_left_before_right():
+    f = parse("(and (not (= X Y)) (exists Z (or (= Z X) (= Z Y))))", WSO)
+    assert [print_formula(g) for g in subformulas(f)] == [
+        print_formula(f), "(not (= X Y))", "(= X Y)",
+        "(exists Z (or (= Z X) (= Z Y)))", "(or (= Z X) (= Z Y))",
+        "(= Z X)", "(= Z Y)"]
+
+
+def test_subterms_preorder():
+    t = App("union", (App("min", (X,)), Y))
+    assert list(subterms(t)) == [t, App("min", (X,)), X, Y]
+
+
+@pytest.mark.parametrize("bad", [X, "(= X Y)", None])
+def test_traversal_rejects_non_formulas(bad):
+    with pytest.raises(TypeError):
+        map_children(bad, lambda g: g)
+    with pytest.raises(TypeError):
+        list(subformulas(bad))
