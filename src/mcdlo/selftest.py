@@ -17,7 +17,8 @@ from .models import (LciStructure, MsoFin, WsoStructure, eval_atomic,
                      eval_qf, eval_term)
 from .order import FinSet, enumerate_interval_unions
 from .rewriting import CodePair, code_domain, defeq_translate, qf_positive_rewrite
-from .semantics import GridLEvaluator, bruteforce_eval, stabilize
+from .semantics import (GridLEvaluator, bruteforce_eval, grid_eval,
+                        stabilize)
 from .syntax import (And, App, Const, Eq, LtEAtom, Not, Or, SIGNATURES,
                      SubsetAtom, Var, is_positive_existential, parse,
                      print_formula)
@@ -221,6 +222,43 @@ def suite_lci_mask_kernel() -> SuiteResult:
     return SuiteResult("lci-mask-kernel", cases, failures)
 
 
+# (block form, hand-nested form) over the parameters A and B
+QUANTIFIER_BLOCKS = [
+    ("(exists X (exists Y (and (= (min X) X) (and (= (inter X A) X) "
+     "(and (= (min Y) Y) (and (= (inter Y B) Y) (not (= X Y))))))))",
+     "(exists X (and (= (min X) X) (and (= (inter X A) X) (exists Y "
+     "(and (= (min Y) Y) (and (= (inter Y B) Y) (not (= X Y))))))))"),
+    ("(exists X (exists Y (exists Z (and (= (inter X A) X) (and "
+     "(= (inter Z B) Z) (and (= (inter Y (union X Z)) Y) (and "
+     "(not (= Z bot)) (not (= Y Z)))))))))",
+     "(exists X (and (= (inter X A) X) (exists Y (exists Z (and "
+     "(= (inter Z B) Z) (and (= (inter Y (union X Z)) Y) (and "
+     "(not (= Z bot)) (not (= Y Z)))))))))"),
+    ("(forall X (forall Y (implies (and (= (inter X A) X) (and "
+     "(= (inter Y B) Y) (not (= A bot)))) (= (max (union X Y)) "
+     "(max (union A B))))))",
+     "(implies (not (= A bot)) (forall X (implies (= (inter X A) X) "
+     "(forall Y (implies (= (inter Y B) Y) (= (max (union X Y)) "
+     "(max (union A B))))))))"),
+]
+
+
+def suite_quantifier_blocks() -> SuiteResult:
+    """A prenex quantifier block and its hand-nested form get the same grid
+    verdicts at budgets 1 and 2."""
+    sets = subsets_of(POOL3)
+    failures = cases = 0
+    for block, nested in QUANTIFIER_BLOCKS:
+        f, g = (parse(text, SIGNATURES["wso"]) for text in (block, nested))
+        for a in sets:
+            for b in sets:
+                cases += 1
+                asg = {"A": a, "B": b}
+                if grid_eval("w", f, asg, k=1) != grid_eval("w", g, asg, k=1):
+                    failures += 1
+    return SuiteResult("quantifier-blocks", cases, failures)
+
+
 SUITES = [
     suite_nonempty_characterisation,
     suite_endpoint_code_domain,
@@ -230,6 +268,7 @@ SUITES = [
     suite_parse_print_roundtrip,
     suite_membership_formula,
     suite_lci_mask_kernel,
+    suite_quantifier_blocks,
 ]
 
 

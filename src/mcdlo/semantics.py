@@ -6,8 +6,12 @@ range over subsets of a finite grid grown from the assignment's points (W),
 or over canonical interval unions with endpoints in the grid, including
 unbounded variants (L).  Both, and the subsets of MSO(n), are bitmasks
 searched by one quantifier loop; the value-level structures of `models` stay
-as exact references.  Verdicts carry a stabilization flag comparing budgets
-k and k+1; stability is evidence, not proof, of the true verdict.
+as exact references.  The loop prunes each quantified variable by the
+conjuncts of its quantifier's body; a quantifier block (∃X∃Y… or ∀X∀Y…) is
+split at its first visit so that each conjunct sits under the last block
+variable it mentions.  Verdicts carry a stabilization flag comparing budgets
+k and k+1; stability is a heuristic, evidence but not proof of the true
+verdict (the three-atoms sentence of the tests stabilizes on a wrong false).
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from .order import FinSet, IntervalUnion
 from .syntax import (ATOM_TYPES, FO_CONNECTIVES, And, App, Const, Eq, Exists,
                      ExistsPartition, Forall, FreshVars, Formula, Implies,
                      LtEAtom, Not, Or, SubsetAtom, Term, Var, all_vars,
-                     conjuncts, map_children, substitute, term_vars)
+                     and_all, conjuncts, free_vars, map_children, substitute,
+                     term_vars)
 from .models import EvalError, MsoFin
 
 DEFAULT_GRID_CAP = 14
@@ -140,6 +145,55 @@ def _submasks(lower: int, upper: int, singleton: bool):
 
 
 # ---------------------------------------------------------------------------
+# Quantifier blocks
+#
+# The pruning reads a quantifier's immediate body only, so in a block
+# ∃X∃Y∃Z φ the outer variables X and Y would range over every mask.
+# Splitting the block pushes each conjunct of φ (of φ's antecedent, for a ∀
+# block over an implication) to just inside the quantifier of the last block
+# variable it mentions, and the conjuncts that mention none out of the block.
+# Over a non-empty domain the result is the same formula, and every
+# evaluator's domain contains the empty mask.
+
+def split_block(f: Formula) -> Formula:
+    """f with its quantifier block split, or f itself when no conjunct
+    moves."""
+    quant = type(f)
+    prefix = []
+    matrix = f
+    while type(matrix) is quant:
+        prefix.append(matrix.var)
+        matrix = matrix.body
+    if quant is Forall:
+        if not isinstance(matrix, Implies):
+            return f
+        guards, inner = matrix.left, matrix.right
+    else:
+        guards, inner = matrix, None
+    last = {v: i for i, v in enumerate(prefix, 1)}  # a repeated name shadows
+    levels: list[list] = [[] for _ in range(len(prefix) + 1)]  # 0: outside
+    for c in conjuncts(guards):
+        levels[max((last[v] for v in free_vars(c) if v in last),
+                   default=0)].append(c)
+    if not any(levels[:-1]):
+        return f
+    for i in range(len(prefix), 0, -1):
+        inner = _guarded(quant, levels[i], inner)
+        if inner is not None:
+            inner = quant(prefix[i - 1], inner)
+    return _guarded(quant, levels[0], inner)
+
+
+def _guarded(quant, guards: list, inner: Optional[Formula]):
+    """The body of one block level: its guards and the inner levels; an
+    existential level with neither is dropped (None)."""
+    if quant is Forall:
+        return Implies(and_all(guards), inner) if guards else inner
+    parts = guards + ([] if inner is None else [inner])
+    return and_all(parts) if parts else None
+
+
+# ---------------------------------------------------------------------------
 # One quantifier search over masks, shared by MSO(n), W(I) and L(I)
 
 def _grid_formula(self, f: Formula, env: dict) -> bool:
@@ -147,7 +201,8 @@ def _grid_formula(self, f: Formula, env: dict) -> bool:
     encoding is a lattice embedding whose least set bit is the minimum and
     whose highest one decides the order atom), quantified variables range
     over the evaluator's witness masks, and partition quantifiers go to its
-    partition search."""
+    partition search.  A quantifier block is split once per evaluator, in its
+    `blocks` dict, keyed by node identity: hashing a node walks its subtree."""
     if isinstance(f, Eq):
         return self.term(f.left, env) == self.term(f.right, env)
     if isinstance(f, SubsetAtom):
@@ -166,6 +221,12 @@ def _grid_formula(self, f: Formula, env: dict) -> bool:
         return self.formula(f.left, env) or self.formula(f.right, env)
     if isinstance(f, Implies):
         return (not self.formula(f.left, env)) or self.formula(f.right, env)
+    if isinstance(f, (Exists, Forall)) and type(f.body) is type(f):
+        hit = self.blocks.get(id(f))
+        if hit is None or hit[0] is not f:
+            hit = self.blocks[id(f)] = (f, split_block(f))
+        if hit[1] is not f:
+            return self.formula(hit[1], env)
     if isinstance(f, Exists):
         env = dict(env)
         for mask in self.witnesses(f.var, f.body, env):
@@ -198,6 +259,7 @@ class BruteForceEvaluator:
         self.n = n
         self.top = (1 << n) - 1
         self.constants = dict(constants or {})
+        self.blocks: dict = {}
 
     def encode(self, s) -> int:
         mask = 0
@@ -370,6 +432,7 @@ class GridWEvaluator(_GridEvaluator):
         self.index = {p: i for i, p in enumerate(grid.points)}
         self.size = len(grid.points)
         self.full = (1 << self.size) - 1
+        self.blocks: dict = {}
 
     def encode(self, a: FinSet) -> int:
         mask = 0
@@ -450,6 +513,7 @@ class GridLEvaluator(_GridEvaluator):
         self.full = (1 << 2 * self.size) - 1
         self.points = self.full // 3  # the even bits
         self.tail = 1 << 2 * self.size - 1
+        self.blocks: dict = {}
 
     @cached_property
     def candidates(self) -> tuple:

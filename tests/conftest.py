@@ -1,3 +1,4 @@
+import signal
 from fractions import Fraction
 
 import pytest
@@ -40,3 +41,39 @@ def subs3():
 @pytest.fixture(scope="session")
 def subs4():
     return subsets_of(POOL4)
+
+
+# The three-atoms sentence of ROADMAP item 4 over parameters A and B, in
+# prenex and in miniscoped form: three distinct atoms strictly between 0 and
+# the point of A.
+def _atom(x):
+    return (f"(and (= (min {x}) {x}) (and (not (= {x} bot)) "
+            f"(and (not (= {x} zero)) (and (= (max (union {x} A)) A) "
+            f"(not (= {x} A))))))")
+
+
+THREE_ATOMS_PRENEX = (
+    f"(exists X (exists Y (exists Z (and {_atom('X')} (and {_atom('Y')} "
+    f"(and {_atom('Z')} (and (not (= X Y)) (and (not (= X Z)) "
+    f"(not (= Y Z))))))))))")
+THREE_ATOMS_MINISCOPED = (
+    f"(exists X (and {_atom('X')} (exists Y (and {_atom('Y')} "
+    f"(and (not (= X Y)) (exists Z (and {_atom('Z')} "
+    f"(and (not (= X Z)) (not (= Y Z))))))))))")
+
+
+class TimeLimitExceeded(Exception):
+    pass
+
+
+@pytest.fixture
+def time_limit():
+    """Arm with a number of seconds: past it the test fails with
+    TimeLimitExceeded instead of hanging (SIGALRM)."""
+    def on_alarm(signum, frame):
+        raise TimeLimitExceeded("test ran into its time limit")
+
+    old = signal.signal(signal.SIGALRM, on_alarm)
+    yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, old)

@@ -9,6 +9,8 @@ from mcdlo.semantics import EvalReport
 from mcdlo.cli import _report_exit
 from mcdlo.syntax import SIGNATURES, is_existential, parse
 
+from conftest import THREE_ATOMS_MINISCOPED, THREE_ATOMS_PRENEX
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -129,6 +131,20 @@ def test_fv_reduce_command(capsys, tmp_path):
     assert set(out) == {"psi", "sentences", "stabilized"}
     assert out["stabilized"] is True
     assert out["sentences"]
+
+
+def test_eval_prenex_block_answers_like_miniscoped(capsys, tmp_path,
+                                                   time_limit):
+    """The prenex three-atoms sentence returns the miniscoped sentence's
+    report and exit code (both the known-wrong false of ROADMAP item 4)."""
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"A": ["1/3"], "B": ["2/3"]}))
+    time_limit(5)
+    prenex = run_cli(capsys, "eval", "--sig", "wso", "--params", str(params),
+                     "--formula", THREE_ATOMS_PRENEX)
+    miniscoped = run_cli(capsys, "eval", "--sig", "wso", "--params",
+                         str(params), "--formula", THREE_ATOMS_MINISCOPED)
+    assert prenex[:2] == miniscoped[:2]
 
 
 def test_selftest_command(capsys):

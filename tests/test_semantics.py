@@ -10,10 +10,13 @@ from mcdlo.models import (EvalError, LciStructure, MsoFin, WsoStructure,
 from mcdlo.order import FinSet, IntervalUnion, enumerate_interval_unions
 from mcdlo.semantics import (EvalReport, GridCapError, GridLEvaluator,
                              GridSpec, GridWEvaluator, bruteforce_eval,
-                             grid_eval, make_grid, relativize, stabilize)
+                             grid_eval, make_grid, relativize, split_block,
+                             stabilize)
 from mcdlo.syntax import (And, App, Const, Eq, Exists, Forall, Implies,
                           LtEAtom, Not, Or, SIGNATURES, SubsetAtom, Var,
-                          free_vars, parse)
+                          and_all, free_vars, parse)
+
+from conftest import THREE_ATOMS_MINISCOPED, THREE_ATOMS_PRENEX
 
 WSO = SIGNATURES["wso"]
 MO = SIGNATURES["mo"]
@@ -256,6 +259,148 @@ def test_gridl_narrowed_witnesses_match_naive_search(text):
         for b in point_sets:
             env = {"A": a, "B": b}
             assert ev.formula(f, env) == naive_gridl(ev, f, env), (a, b)
+
+
+# -- quantifier blocks --------------------------------------------------------
+
+def block_evaluators():
+    """(name, evaluate, reference, values) for each mask evaluator: the
+    evaluator itself, its unpruned reference search, and assignment values."""
+    m = MsoFin(3)
+    w = GridWEvaluator(FinSet.of(0, Fraction(1, 3), Fraction(2, 3)))
+    lev = GridLEvaluator(FinSet.of(0, Fraction(1, 2)))
+    return [
+        ("msofin", lambda f, a: bruteforce_eval(m, f, a),
+         lambda f, a: naive_msofin(m, f, a), m.universe()),
+        ("w", w.formula, lambda f, a: naive_gridw(w, f, dict(a)),
+         range(w.full + 1)),
+        ("l", lev.formula, lambda f, a: naive_gridl(lev, f, dict(a)),
+         lev.candidates),
+    ]
+
+
+@pytest.mark.parametrize("block,nested", [
+    ("(forall X (forall Y (= (union X Y) (union Y X))))", None),
+    ("(forall X (forall Y (= (inter X (union X Y)) X)))", None),
+    ("(exists X (exists Y (and (= (inter X Y) X) (= (inter Y A) Y))))",
+     None),
+    ("(exists X (exists X (and (= (inter X A) X) (not (= X bot)))))",
+     "(exists X (and (= (inter X A) X) (not (= X bot))))"),
+    ("(forall X (forall X (implies (= (inter A X) A) (= (inter X A) X))))",
+     "(forall X (implies (= (inter A X) A) (= (inter X A) X)))"),
+])
+def test_blocks_the_split_leaves_alone_terminate(block, nested):
+    """A block none of whose conjuncts moves is evaluated by the plain
+    quantifier loop: same verdict as the hand-nested form and the unpruned
+    search, on MSO(n), W and L."""
+    f = parse(block, WSO)
+    assert split_block(f) is f
+    g = parse(nested or block, WSO)
+    for name, evaluate, reference, values in block_evaluators():
+        for a in values:
+            want = reference(g, {"A": a})
+            assert evaluate(f, {"A": a}) == evaluate(g, {"A": a}) == want, \
+                (name, a)
+
+
+def test_split_block_moves_each_conjunct_to_its_last_variable():
+    f = parse("(exists X (exists Y (exists Z (and (= (inter X A) X) (and "
+              "(= (inter Y B) Y) (and (= (inter Z A) Z) (and (= X Y) "
+              "(= A B))))))))", WSO)
+    assert split_block(f) == parse(
+        "(and (= A B) (exists X (and (= (inter X A) X) (exists Y (and (and "
+        "(= (inter Y B) Y) (= X Y)) (exists Z (= (inter Z A) Z)))))))", WSO)
+    f = parse("(forall X (forall Y (implies (and (= (inter X A) X) (and "
+              "(= (inter Y X) Y) (= A B))) (= X Y))))", WSO)
+    assert split_block(f) == parse(
+        "(implies (= A B) (forall X (implies (= (inter X A) X) (forall Y "
+        "(implies (= (inter Y X) Y) (= X Y))))))", WSO)
+
+
+def block_sentences(ops1, ops2, guard_min):
+    """Prenex blocks of 2-3 distinct variables over parameter A: an
+    existential block over a conjunction, or a universal one over an
+    implication with a conjunctive antecedent.  The conjuncts are guards on
+    one block variable, conjuncts free of every block variable, and cross
+    conjuncts between two block variables."""
+    def terms(leaves):
+        def extend(inner):
+            apps = [st.tuples(st.sampled_from(ops2), inner, inner)
+                    .map(lambda t: App(t[0], (t[1], t[2])))]
+            if ops1:
+                apps.append(st.tuples(st.sampled_from(ops1), inner)
+                            .map(lambda t: App(t[0], (t[1],))))
+            return st.one_of(apps)
+        return st.recursive(st.sampled_from(leaves), extend, max_leaves=3)
+
+    atom_kinds = st.sampled_from([Eq, SubsetAtom])
+
+    @st.composite
+    def sentence(draw):
+        names = draw(st.lists(st.sampled_from("XYZ"), min_size=2,
+                              max_size=3, unique=True))
+        outer = [Var("A"), Const("bot"), Const("zero")]
+        everything = [Var(n) for n in names] + outer
+        parts = []
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(["guard", "outer", "cross"]))
+            if kind == "guard":
+                v = Var(draw(st.sampled_from(names)))
+                if guard_min and draw(st.booleans()):
+                    parts.append(Eq(App("min", (v,)), v))
+                else:
+                    t = draw(terms(everything))
+                    parts.append(Eq(App("inter", (v, t)), v))
+            elif kind == "outer":
+                parts.append(draw(atom_kinds)(draw(terms(outer)),
+                                              draw(terms(outer))))
+            else:
+                u, v = draw(st.permutations(names))[:2]
+                left = App(draw(st.sampled_from(ops2)),
+                           (Var(u), draw(terms(everything))))
+                atom = draw(atom_kinds)(left, Var(v))
+                parts.append(Not(atom) if draw(st.booleans()) else atom)
+        if draw(st.booleans()):
+            quant, body = Exists, and_all(parts)
+        else:
+            quant = Forall
+            body = Implies(and_all(parts),
+                           draw(atom_kinds)(draw(terms(everything)),
+                                            draw(terms(everything))))
+        for n in reversed(names):
+            body = quant(n, body)
+        return body
+
+    return sentence()
+
+
+@pytest.mark.parametrize("kind", ["msofin", "w", "l"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_split_blocks_match_unpruned_search(kind, data):
+    """Prenex blocks, split by the evaluator, agree with the unpruned
+    reference search on every value of the parameter."""
+    ops = {"msofin": ((), ("union", "inter")),
+           "w": (("min", "max"), ("union", "inter")),
+           "l": (("min", "max", "l", "r"), ("union", "inter"))}[kind]
+    f = data.draw(block_sentences(*ops, guard_min=kind != "msofin"))
+    [(_, evaluate, reference, values)] = [
+        e for e in block_evaluators() if e[0] == kind]
+    for a in values:
+        assert evaluate(f, {"A": a}) == reference(f, {"A": a}), a
+
+
+def test_prenex_three_atoms_matches_miniscoped(time_limit):
+    """ROADMAP item 4: the prenex form gets the miniscoped form's verdict at
+    every budget, well within the time limit."""
+    asg = {"A": FinSet.of(Fraction(1, 3)), "B": FinSet.of(Fraction(2, 3))}
+    prenex = parse(THREE_ATOMS_PRENEX, WSO)
+    miniscoped = parse(THREE_ATOMS_MINISCOPED, WSO)
+    time_limit(5)
+    for k in (1, 2, 3):
+        # budget 4 has 15 grid points, one over the default cap
+        assert (grid_eval("w", prenex, asg, k, cap=15)
+                == grid_eval("w", miniscoped, asg, k, cap=15)), k
 
 
 def test_grid_spec_contains_zero_and_grows():
