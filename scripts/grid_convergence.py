@@ -11,7 +11,6 @@ never stabilize within the cap.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from collections import Counter
@@ -59,7 +58,6 @@ def random_formula(rng: random.Random, names: list[str], depth: int):
 
 
 def run(config: ConvergenceConfig) -> int:
-    os.environ["MCDLO_GRID_CAP"] = str(config.grid_cap)
     rng = random.Random(config.seed)
     asg = {"A": FinSet.from_iterable(config.pool[:2]),
            "B": FinSet.from_iterable(config.pool[1:])}
@@ -73,7 +71,8 @@ def run(config: ConvergenceConfig) -> int:
         settled_at = None
         try:
             for k in range(1, config.kmax + 1):
-                verdict = grid_eval("w", f, asg, k).verdict
+                verdict = grid_eval("w", f, asg, k,
+                                    cap=config.grid_cap).verdict
                 if prev is not None and verdict == prev:
                     settled_at = k
                     break

@@ -4,23 +4,26 @@ budgeted grid semantics on W(I) / L(I), plus relativisation transformers.
 The grid semantics is a witness-search procedure: quantified set variables
 range over subsets of a finite grid grown from the assignment's points (W),
 or over canonical interval unions with endpoints in the grid, including
-unbounded variants (L).  Both, and the subsets of MSO(n), are bitmasks
-searched by one quantifier loop; the value-level structures of `models` stay
-as exact references.  The loop prunes each quantified variable by the
-conjuncts of its quantifier's body; a quantifier block (∃X∃Y… or ∀X∀Y…) is
-split at its first visit so that each conjunct sits under the last block
-variable it mentions.  Verdicts carry a stabilization flag comparing budgets
-k and k+1; stability is a heuristic, evidence but not proof of the true
-verdict (the three-atoms sentence of the tests stabilizes on a wrong false).
+unbounded variants (L).  Both, and the subsets of MSO(n), are bitmasks, and
+one mask kernel evaluates all three: a structure is a constant table (the
+masks of its constants) and an op table (its function symbols as functions
+on masks), searched by one quantifier loop; the value-level structures of
+`models` stay as exact references.  The loop prunes each quantified
+variable by the conjuncts of its quantifier's body; a quantifier block
+(∃X∃Y… or ∀X∀Y…) is split at its first visit so that each conjunct sits
+under the last block variable it mentions.  Verdicts carry a stabilization
+flag comparing budgets k and k+1; stability is a heuristic, evidence but not
+proof of the true verdict (the three-atoms sentence of the tests stabilizes
+on a wrong false).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
 from .order import FinSet, IntervalUnion
@@ -110,13 +113,6 @@ def _quantified_conjuncts(body: Formula, antecedent_only: bool) -> list:
     if not antecedent_only:
         return list(conjuncts(body))
     return list(conjuncts(body.left)) if isinstance(body, Implies) else []
-
-
-def _bounded_masks(term_eval, var: str, body: Formula, env: dict, top: int,
-                   antecedent_only: bool = False):
-    """Candidate masks for a quantified variable over a powerset."""
-    conjs = _quantified_conjuncts(body, antecedent_only)
-    return _submasks(*_mask_bounds(term_eval, var, conjs, env, top))
 
 
 def _submasks(lower: int, upper: int, singleton: bool):
@@ -247,70 +243,116 @@ def _grid_formula(self, f: Formula, env: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact evaluation on MSO(n), bitmask-based
+# The mask kernel shared by MSO(n), W(I) and L(I)
+#
+# A structure is a constant table and an op table: the masks of its
+# constants, and its function symbols as functions on masks.
 
-class BruteForceEvaluator:
-    """Exact truth in MSO(n); subsets are encoded as n-bit masks."""
+_LATTICE_OPS = {"union": operator.or_, "inter": operator.and_}
+_BOOLEAN_OPS = {**_LATTICE_OPS, "setminus": lambda a, b: a & ~b,
+                "delta": operator.xor}
+# point 0 is always the first point of a grid, so bit 0 is the set {0}
+_GRID_CONSTS = {"bot": 0, "zero": 1}
+
+
+def _least(a: int) -> int:
+    return a & -a
+
+
+def _greatest(a: int) -> int:
+    return 1 << (a.bit_length() - 1) if a else 0
+
+
+def _msinv(a: int, b: int) -> int:
+    """The points of a whose successor in a lies in b."""
+    out = 0
+    prev = -1
+    while a:
+        low = a & -a
+        if prev >= 0 and low & b:
+            out |= 1 << prev
+        prev = low.bit_length() - 1
+        a &= a - 1
+    return out
+
+
+class _MaskEvaluator:
+    """Truth over masks: a subclass supplies `name`, `consts`, `ops`, `full`
+    (the mask of everything) and `encode`, and may replace `witnesses` and
+    `exists_partition`."""
+
+    def term(self, t: Term, env: dict) -> int:
+        kind = type(t)
+        if kind is Var:
+            try:
+                return env[t.name]
+            except KeyError:
+                raise EvalError(f"unbound variable {t.name!r}") from None
+        if kind is App:
+            fn = self.ops.get(t.op)
+            if fn is None:
+                raise EvalError(f"function {t.op!r} undefined in {self.name}")
+            args = t.args
+            if len(args) == 1:
+                return fn(self.term(args[0], env))
+            return fn(self.term(args[0], env), self.term(args[1], env))
+        if t.name in env:
+            return env[t.name]
+        try:
+            return self.consts[t.name]
+        except KeyError:
+            raise EvalError(f"unknown constant {t.name!r} in "
+                            f"{self.name}") from None
+
+    def witnesses(self, var: str, body: Formula, env: dict,
+                  antecedent_only: bool = False):
+        """The masks between the lattice bounds the body puts on var."""
+        conjs = _quantified_conjuncts(body, antecedent_only)
+        return _submasks(*_mask_bounds(self.term, var, conjs, env, self.full))
+
+    def exists_partition(self, f: ExistsPartition, env: dict) -> bool:
+        raise EvalError(f"cannot evaluate {f!r} on the grid")
+
+
+def _point_mask(self, points) -> int:
+    """The mask of a set of the evaluator's points (`self.index` gives each
+    point's bit)."""
+    mask = 0
+    for p in points:
+        if p not in self.index:
+            raise EvalError(f"point {p} outside the {self.name} grid")
+        mask |= 1 << self.index[p]
+    return mask
+
+
+# ---------------------------------------------------------------------------
+# Exact evaluation on MSO(n)
+
+class BruteForceEvaluator(_MaskEvaluator):
+    """Exact truth in MSO(n); subsets of {0..n-1} are n-bit masks.  Extra
+    constants are masks or sets of points."""
 
     def __init__(self, n: int, cap: int = DEFAULT_MSOFIN_CAP,
                  constants: Optional[dict] = None):
         if n > cap:
             raise EvalError(f"MSO({n}) exceeds brute-force cap {cap}")
         self.n = n
-        self.top = (1 << n) - 1
-        self.constants = dict(constants or {})
+        self.name = f"MSO({n})"
+        self.index = {i: i for i in range(n)}
+        full = self.full = (1 << n) - 1
+        self.consts = {"bot": 0, "top": full, "zero": 1 if n else 0,
+                       "zerostar": 1 << (n - 1) if n else 0,
+                       **self.masks(constants)}
+        self.ops = {**_BOOLEAN_OPS, "compl": lambda a: full & ~a,
+                    "sinv": lambda a: a >> 1}
         self.blocks: dict = {}
 
-    def encode(self, s) -> int:
-        mask = 0
-        for i in s:
-            if not 0 <= i < self.n:
-                raise EvalError(f"element {i} outside MSO({self.n})")
-            mask |= 1 << i
-        return mask
+    encode = _point_mask
 
-    def decode(self, mask: int) -> frozenset:
-        return frozenset(i for i in range(self.n) if mask >> i & 1)
-
-    def term(self, t: Term, env: dict) -> int:
-        if isinstance(t, Var):
-            try:
-                return env[t.name]
-            except KeyError:
-                raise EvalError(f"unbound variable {t.name!r}") from None
-        if isinstance(t, Const):
-            if t.name in env:
-                return env[t.name]
-            if t.name in self.constants:
-                return self.constants[t.name]
-            if t.name == "bot":
-                return 0
-            if t.name == "top":
-                return self.top
-            if t.name == "zero":
-                return 1 if self.n else 0
-            if t.name == "zerostar":
-                return 1 << (self.n - 1) if self.n else 0
-            raise EvalError(f"unknown constant {t.name!r}")
-        op = t.op
-        if op == "union":
-            return self.term(t.args[0], env) | self.term(t.args[1], env)
-        if op == "inter":
-            return self.term(t.args[0], env) & self.term(t.args[1], env)
-        if op == "setminus":
-            return self.term(t.args[0], env) & ~self.term(t.args[1], env)
-        if op == "delta":
-            return self.term(t.args[0], env) ^ self.term(t.args[1], env)
-        if op == "compl":
-            return self.top & ~self.term(t.args[0], env)
-        if op == "sinv":
-            return self.term(t.args[0], env) >> 1
-        raise EvalError(f"function {op!r} undefined in MSO({self.n})")
-
-    def witnesses(self, var: str, body: Formula, env: dict,
-                  antecedent_only: bool = False):
-        return _bounded_masks(self.term, var, body, env, self.top,
-                              antecedent_only)
+    def masks(self, values: Optional[dict]) -> dict:
+        """values with every set of points encoded; ints are masks already."""
+        return {name: v if isinstance(v, int) else self.encode(v)
+                for name, v in (values or {}).items()}
 
     formula = _grid_formula
 
@@ -355,14 +397,8 @@ def bruteforce_eval(m: MsoFin, f: Formula, assignment: Optional[dict] = None,
                     constants: Optional[dict] = None) -> bool:
     """Exact truth of f in MSO(n); assignment maps variables to frozensets of
     ints (or bitmask ints)."""
-    ev = BruteForceEvaluator(m.n, cap=cap)
-
-    def encode(values: Optional[dict]) -> dict:
-        return {name: v if isinstance(v, int) else ev.encode(v)
-                for name, v in (values or {}).items()}
-
-    ev.constants = encode(constants)
-    return ev.formula(f, encode(assignment))
+    ev = BruteForceEvaluator(m.n, cap=cap, constants=constants)
+    return ev.formula(f, ev.masks(assignment))
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +453,12 @@ def _w_seed_points(assignment: dict) -> set:
 # ---------------------------------------------------------------------------
 # Grid evaluation on W(I)
 
-class _GridEvaluator:
-    """Base of the W(I) and L(I) grid evaluators: no partition quantifiers."""
+class GridWEvaluator(_MaskEvaluator):
+    """Subsets of the grid as bitmasks, bit i the i-th grid point."""
 
-    def exists_partition(self, f: ExistsPartition, env: dict) -> bool:
-        raise EvalError(f"cannot evaluate {f!r} on the grid")
-
-
-class GridWEvaluator(_GridEvaluator):
-    """Subsets of the grid as bitmasks; term/atomic layers are exact."""
+    name = "W(I)"
+    consts = _GRID_CONSTS
+    ops = {**_BOOLEAN_OPS, "min": _least, "max": _greatest, "msinv": _msinv}
 
     def __init__(self, grid: FinSet):
         self.grid = grid
@@ -434,66 +467,11 @@ class GridWEvaluator(_GridEvaluator):
         self.full = (1 << self.size) - 1
         self.blocks: dict = {}
 
-    def encode(self, a: FinSet) -> int:
-        mask = 0
-        for p in a.points:
-            if p not in self.index:
-                raise EvalError(f"point {p} outside the grid")
-            mask |= 1 << self.index[p]
-        return mask
+    encode = _point_mask
 
     def decode(self, mask: int) -> FinSet:
         return FinSet.from_iterable(self.grid.points[i]
                                     for i in range(self.size) if mask >> i & 1)
-
-    def term(self, t: Term, env: dict) -> int:
-        if isinstance(t, Var):
-            try:
-                return env[t.name]
-            except KeyError:
-                raise EvalError(f"unbound variable {t.name!r}") from None
-        if isinstance(t, Const):
-            if t.name in env:
-                return env[t.name]
-            if t.name == "bot":
-                return 0
-            if t.name == "zero":
-                return 1  # grid point 0 is always present and is the least
-            raise EvalError(f"unknown constant {t.name!r} in W(I)")
-        op = t.op
-        if op == "union":
-            return self.term(t.args[0], env) | self.term(t.args[1], env)
-        if op == "inter":
-            return self.term(t.args[0], env) & self.term(t.args[1], env)
-        if op == "setminus":
-            return self.term(t.args[0], env) & ~self.term(t.args[1], env)
-        if op == "delta":
-            return self.term(t.args[0], env) ^ self.term(t.args[1], env)
-        if op == "min":
-            a = self.term(t.args[0], env)
-            return a & -a
-        if op == "max":
-            a = self.term(t.args[0], env)
-            return 1 << (a.bit_length() - 1) if a else 0
-        if op == "msinv":
-            a = self.term(t.args[0], env)
-            b = self.term(t.args[1], env)
-            out = 0
-            prev = -1
-            rest = a
-            while rest:
-                low = rest & -rest
-                if prev >= 0 and low & b:
-                    out |= 1 << prev
-                prev = low.bit_length() - 1
-                rest &= rest - 1
-            return out
-        raise EvalError(f"function {op!r} undefined in W(I)")
-
-    def witnesses(self, var: str, body: Formula, env: dict,
-                  antecedent_only: bool = False):
-        return _bounded_masks(self.term, var, body, env, self.full,
-                              antecedent_only)
 
     formula = _grid_formula
 
@@ -501,24 +479,26 @@ class GridWEvaluator(_GridEvaluator):
 # ---------------------------------------------------------------------------
 # Grid evaluation on L(I)
 
-class GridLEvaluator(_GridEvaluator):
+class GridLEvaluator(_MaskEvaluator):
     """Interval unions with endpoints in the grid as cell masks: bit 2i is
     grid point i, bit 2i+1 the open gap above it; the last gap is the
     unbounded tail.  A gap bit is set only with the points around it (the
-    tail only with the last point).  Term and atomic layers are exact."""
+    tail only with the last point)."""
+
+    name = "L(I)"
+    consts = _GRID_CONSTS
 
     def __init__(self, grid: FinSet):
         self.index = {p: i for i, p in enumerate(grid.points)}
         self.size = len(grid.points)
         self.full = (1 << 2 * self.size) - 1
-        self.points = self.full // 3  # the even bits
-        self.tail = 1 << 2 * self.size - 1
+        points = self.points = self.full // 3  # the even bits
+        tail = self.tail = 1 << 2 * self.size - 1
+        self.ops = {**_LATTICE_OPS, "min": _least,
+                    "max": lambda a: 0 if a & tail else _greatest(a),
+                    "l": lambda a: a & points & ~(a << 1),
+                    "r": lambda a: a & points & ~(a >> 1)}
         self.blocks: dict = {}
-
-    @cached_property
-    def candidates(self) -> tuple:
-        """Every valid mask; the evaluator itself never lists them."""
-        return tuple(self.valid_masks(0, self.full))
 
     def encode(self, u: IntervalUnion) -> int:
         mask = 0
@@ -530,36 +510,6 @@ class GridLEvaluator(_GridEvaluator):
                   else (2 << 2 * self.index[right]) - 1)
             mask |= hi & ~((1 << 2 * self.index[left]) - 1)
         return mask
-
-    def term(self, t: Term, env: dict) -> int:
-        if isinstance(t, Var):
-            try:
-                return env[t.name]
-            except KeyError:
-                raise EvalError(f"unbound variable {t.name!r}") from None
-        if isinstance(t, Const):
-            if t.name in env:
-                return env[t.name]
-            if t.name == "bot":
-                return 0
-            if t.name == "zero":
-                return 1
-            raise EvalError(f"unknown constant {t.name!r} in L(I)")
-        op = t.op
-        a = self.term(t.args[0], env)
-        if op == "union":
-            return a | self.term(t.args[1], env)
-        if op == "inter":
-            return a & self.term(t.args[1], env)
-        if op == "min":
-            return a & -a
-        if op == "max":
-            return 0 if a & self.tail or not a else 1 << (a.bit_length() - 1)
-        if op == "l":
-            return a & self.points & ~(a << 1)
-        if op == "r":
-            return a & self.points & ~(a >> 1)
-        raise EvalError(f"function {op!r} undefined in L(I)")
 
     def valid_masks(self, lower: int, upper: int):
         """Valid masks between lower and upper, lazily: each point set first,

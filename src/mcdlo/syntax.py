@@ -373,14 +373,6 @@ def parse(text: str, sig: Signature) -> Formula:
     return f
 
 
-def parse_term(text: str, sig: Signature) -> Term:
-    p = _Parser(text, sig)
-    t = p.parse_term()
-    if p.pos != len(p.tokens):
-        raise SyntaxErrorAt("trailing input", p.tokens[p.pos][1])
-    return t
-
-
 # ---------------------------------------------------------------------------
 # Printing
 
@@ -669,7 +661,3 @@ def formula_ops(f: Formula) -> set[str]:
     return {t.op for g in subformulas(f) if isinstance(g, ATOM_TYPES)
             for side in (g.left, g.right) for t in subterms(side)
             if isinstance(t, App)}
-
-
-def contains_node(f: Formula, kinds) -> bool:
-    return any(isinstance(g, kinds) for g in subformulas(f))

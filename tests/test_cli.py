@@ -1,6 +1,9 @@
 import json
+import os
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,3 +172,13 @@ def test_console_script_runs():
         capture_output=True, text=True)
     assert proc.returncode == EXIT_TRUE
     assert json.loads(proc.stdout)["verdict"] is True
+
+
+def test_grid_convergence_script_runs(monkeypatch, capsys):
+    """The script runs, and its grid cap does not leak into the process."""
+    monkeypatch.delenv("MCDLO_GRID_CAP", raising=False)
+    script = Path(__file__).resolve().parent.parent / "scripts" / \
+        "grid_convergence.py"
+    assert runpy.run_path(str(script))["main"](["--trials", "5"]) == 0
+    assert "5 random formulas" in capsys.readouterr().out
+    assert "MCDLO_GRID_CAP" not in os.environ

@@ -158,6 +158,9 @@ def test_translate_with_parameters_small_cases():
         (FinSet.of(quarter, half), FinSet.of(half)),
     ]
     _check_parameter_translation("(ltE A B)", pairs)
+    _check_parameter_translation("(not (subset A B))", pairs)
+    _check_parameter_translation(
+        "(or (= A bot) (exists X (and (subset X A) (= X B))))", pairs)
 
 
 def test_translate_with_parameters_rejects_stray_vars():

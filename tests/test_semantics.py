@@ -8,15 +8,15 @@ from hypothesis import given, settings, strategies as st
 from mcdlo.models import (EvalError, LciStructure, MsoFin, WsoStructure,
                           eval_atomic, eval_term)
 from mcdlo.order import FinSet, IntervalUnion, enumerate_interval_unions
-from mcdlo.semantics import (EvalReport, GridCapError, GridLEvaluator,
-                             GridSpec, GridWEvaluator, bruteforce_eval,
-                             grid_eval, make_grid, relativize, split_block,
-                             stabilize)
-from mcdlo.syntax import (And, App, Const, Eq, Exists, Forall, Implies,
-                          LtEAtom, Not, Or, SIGNATURES, SubsetAtom, Var,
-                          and_all, free_vars, parse)
+from mcdlo.semantics import (BruteForceEvaluator, EvalReport, GridCapError,
+                             GridLEvaluator, GridSpec, GridWEvaluator,
+                             bruteforce_eval, grid_eval, make_grid,
+                             relativize, split_block, stabilize)
+from mcdlo.syntax import (ARITY, And, App, Const, Eq, Exists, Forall,
+                          Implies, LtEAtom, Not, Or, SIGNATURES, SubsetAtom,
+                          Var, and_all, free_vars, parse)
 
-from conftest import THREE_ATOMS_MINISCOPED, THREE_ATOMS_PRENEX
+from conftest import THREE_ATOMS_MINISCOPED, THREE_ATOMS_PRENEX, subsets_of
 
 WSO = SIGNATURES["wso"]
 MO = SIGNATURES["mo"]
@@ -143,10 +143,10 @@ def naive_gridl(ev, f, env):
         return (not naive_gridl(ev, f.left, env)) or naive_gridl(ev, f.right, env)
     if isinstance(f, Exists):
         return any(naive_gridl(ev, f.body, {**env, f.var: c})
-                   for c in ev.candidates)
+                   for c in ev.valid_masks(0, ev.full))
     if isinstance(f, Forall):
         return all(naive_gridl(ev, f.body, {**env, f.var: c})
-                   for c in ev.candidates)
+                   for c in ev.valid_masks(0, ev.full))
     return ev.formula(f, env)
 
 
@@ -175,7 +175,8 @@ def test_gridl_pruning_sound(f, data):
     grid = make_grid([Fraction(0), Fraction(1, 2)], 1)
     ev = GridLEvaluator(grid)
     names = sorted(free_vars(f))
-    env = {name: data.draw(st.sampled_from(ev.candidates), label=name)
+    masks = tuple(ev.valid_masks(0, ev.full))
+    env = {name: data.draw(st.sampled_from(masks), label=name)
            for name in names}
     assert ev.formula(f, env) == naive_gridl(ev, f, dict(env))
 
@@ -203,7 +204,7 @@ def test_gridl_valid_masks_are_the_interval_unions():
 @given(st.integers(0, (1 << 10) - 1), st.integers(0, (1 << 10) - 1))
 def test_gridl_bounded_masks_are_the_filtered_set(lower, upper):
     ev = GridLEvaluator(FinSet.from_iterable(Fraction(i, 5) for i in range(5)))
-    want = sorted(m for m in ev.candidates
+    want = sorted(m for m in ev.valid_masks(0, ev.full)
                   if not lower & ~m and not m & ~upper)
     assert sorted(ev.valid_masks(lower, upper)) == want
 
@@ -212,25 +213,56 @@ grids = st.sets(st.integers(1, 11), max_size=4).map(
     lambda ks: FinSet.from_iterable([0] + [Fraction(k, 12) for k in ks]))
 
 
+# (binary ops, unary ops, constants, an op and a constant outside the
+# signature) of each mask evaluator
+KERNEL_SIGNATURES = {
+    "msofin": (("union", "inter", "setminus", "delta"), ("compl", "sinv"),
+               ("bot", "zero", "top", "zerostar"), "min", "c"),
+    "w": (("union", "inter", "setminus", "delta", "msinv"), ("min", "max"),
+          ("bot", "zero"), "l", "top"),
+    "l": (("union", "inter"), ("min", "max", "l", "r"), ("bot", "zero"),
+          "setminus", "top"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_SIGNATURES))
 @settings(max_examples=60, deadline=None)
-@given(grids, st.data())
-def test_gridl_mask_kernel_matches_lci_structure(grid, data):
-    ev = GridLEvaluator(grid)
-    unions = enumerate_interval_unions(grid.points)
-    asg = {n: data.draw(st.sampled_from(unions), label=n) for n in "XY"}
-    env = {n: ev.encode(u) for n, u in asg.items()}
+@given(data=st.data())
+def test_mask_kernel_matches_reference_structure(kind, data):
+    """Every op, constant and atom of each mask evaluator agrees with the
+    value-level structure of `models` on random values (MSO(0) included);
+    a symbol outside the signature raises the structure's own error."""
+    binary, unary, consts, bad_op, bad_const = KERNEL_SIGNATURES[kind]
+    if kind == "msofin":
+        n = data.draw(st.integers(0, 4), label="n")
+        ev, structure = BruteForceEvaluator(n), MsoFin(n)
+        values = list(structure.universe())
+    else:
+        grid = data.draw(grids, label="grid")
+        if kind == "w":
+            ev, structure = GridWEvaluator(grid), WsoStructure()
+            values = subsets_of(grid.points)
+        else:
+            ev, structure = GridLEvaluator(grid), LciStructure()
+            values = enumerate_interval_unions(grid.points)
+    asg = {n: data.draw(st.sampled_from(values), label=n) for n in "XY"}
+    env = {n: ev.encode(v) for n, v in asg.items()}
     x, y = Var("X"), Var("Y")
-    terms = [App(op, (x, y)) for op in ("union", "inter")]
-    terms += [App(op, (x,)) for op in ("min", "max", "l", "r")]
-    terms += [Const("bot"), Const("zero")]
+    terms = [App(op, (x, y)) for op in binary]
+    terms += [App(op, (x,)) for op in unary]
+    terms += [Const(c) for c in consts]
     for t in terms:
-        assert ev.term(t, env) == ev.encode(eval_term(LciStructure(), t, asg))
+        assert ev.term(t, env) == ev.encode(eval_term(structure, t, asg)), t
     for atom in (Eq, SubsetAtom, LtEAtom):
         for a, b in ((x, y), (y, x)):
             assert ev.formula(atom(a, b), env) == \
-                eval_atomic(LciStructure(), atom(a, b), asg)
-    with pytest.raises(EvalError):
-        ev.term(App("setminus", (x, y)), env)
+                eval_atomic(structure, atom(a, b), asg)
+    for bad in (App(bad_op, (x, y)[:ARITY[bad_op]]), Const(bad_const)):
+        with pytest.raises(EvalError) as got:
+            ev.term(bad, env)
+        with pytest.raises(EvalError) as want:
+            eval_term(structure, bad, asg)
+        assert str(got.value) == str(want.value)
 
 
 def test_gridl_encode_rejects_endpoints_off_the_grid():
@@ -275,7 +307,7 @@ def block_evaluators():
         ("w", w.formula, lambda f, a: naive_gridw(w, f, dict(a)),
          range(w.full + 1)),
         ("l", lev.formula, lambda f, a: naive_gridl(lev, f, dict(a)),
-         lev.candidates),
+         tuple(lev.valid_masks(0, lev.full))),
     ]
 
 
