@@ -131,16 +131,15 @@ def _instantiate(seq: AcceptableSequence, args: Sequence[str],
 def _dedup(seq: AcceptableSequence) -> AcceptableSequence:
     """Merge syntactically identical component formulas, rewriting the index
     formula's support variables accordingly."""
-    seen: dict[str, str] = {}
+    seen: dict[Formula, str] = {}
     merged: dict[str, Var] = {}
     kept_vars: list[str] = []
     kept_thetas: list[Formula] = []
     for y, theta in zip(seq.support_vars, seq.thetas):
-        key = print_formula(theta)
-        if key in seen:
-            merged[y] = Var(seen[key])
+        if theta in seen:
+            merged[y] = Var(seen[theta])
         else:
-            seen[key] = y
+            seen[theta] = y
             kept_vars.append(y)
             kept_thetas.append(theta)
     return AcceptableSequence(substitute(seq.index_formula, merged),
@@ -511,19 +510,18 @@ def translate_with_parameters(
 
     sentences: list[Formula] = []
     reports: list[EvalReport] = []
-    cache: dict[str, bool] = {}
+    cache: dict[Formula, bool] = {}
     all_stable = True
 
     def consult(sentence: Formula) -> bool:
         nonlocal all_stable
-        key = print_formula(sentence)
-        if key not in cache:
+        if sentence not in cache:
             report = oracle(sentence)
             sentences.append(sentence)
             reports.append(report)
             all_stable = all_stable and report.stabilized
-            cache[key] = report.verdict
-        return cache[key]
+            cache[sentence] = report.verdict
+        return cache[sentence]
 
     patterns = [frozenset(s) for r in range(len(all_params) + 1)
                 for s in itertools.combinations(range(len(all_params)), r)]

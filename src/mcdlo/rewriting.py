@@ -88,43 +88,29 @@ def notbot_formula(t: Term) -> Formula:
 # ---------------------------------------------------------------------------
 # Negation normal form (quantifier-aware, used by several rewriters)
 
+_DUAL = {And: Or, Or: And, Exists: Forall, Forall: Exists}
+
+
 def nnf(f: Formula) -> Formula:
     """Push negations down to atoms and expand implications."""
-    def pos(g: Formula) -> Formula:
-        if isinstance(g, (Eq, SubsetAtom, LtEAtom)):
-            return g
-        if isinstance(g, Not):
-            return neg(g.body)
-        if isinstance(g, And):
-            return And(pos(g.left), pos(g.right))
-        if isinstance(g, Or):
-            return Or(pos(g.left), pos(g.right))
-        if isinstance(g, Implies):
-            return Or(neg(g.left), pos(g.right))
-        if isinstance(g, Exists):
-            return Exists(g.var, pos(g.body))
-        if isinstance(g, Forall):
-            return Forall(g.var, pos(g.body))
+    def walk(g: Formula, negated: bool) -> Formula:
+        kind = type(g)
+        if kind in ATOM_TYPES:
+            return Not(g) if negated else g
+        if kind is Not:
+            return walk(g.body, not negated)
+        if kind is Implies:  # (not a) or b
+            return (And if negated else Or)(walk(g.left, not negated),
+                                            walk(g.right, negated))
+        if kind in (And, Or):
+            return (_DUAL[kind] if negated else kind)(walk(g.left, negated),
+                                                      walk(g.right, negated))
+        if kind in (Exists, Forall):
+            return (_DUAL[kind] if negated else kind)(g.var,
+                                                      walk(g.body, negated))
         raise EvalError(f"cannot normalise {g!r}")
 
-    def neg(g: Formula) -> Formula:
-        if isinstance(g, (Eq, SubsetAtom, LtEAtom)):
-            return Not(g)
-        if isinstance(g, Not):
-            return pos(g.body)
-        if isinstance(g, And):
-            return Or(neg(g.left), neg(g.right))
-        if isinstance(g, Or):
-            return And(neg(g.left), neg(g.right))
-        if isinstance(g, Implies):
-            return And(pos(g.left), neg(g.right))
-        if isinstance(g, Exists):
-            return Forall(g.var, neg(g.body))
-        if isinstance(g, Forall):
-            return Exists(g.var, neg(g.body))
-        raise EvalError(f"cannot normalise {g!r}")
-
-    return pos(f)
+    return walk(f, False)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +234,7 @@ def _tag(sig) -> str:
     return str(sig)
 
 
-def _at(t: Term, fresh: FreshVars) -> Formula:
+def at_mo(t: Term, fresh: FreshVars) -> Formula:
     """t is an atom: nonempty with no proper nonempty part."""
     w = fresh.fresh("W")
     return And(_nonempty(t),
@@ -258,32 +244,24 @@ def _at(t: Term, fresh: FreshVars) -> Formula:
 
 def _no_atoms(fresh: FreshVars) -> Formula:
     w = fresh.fresh("W")
-    return Not(Exists(w, _at(Var(w), fresh)))
+    return Not(Exists(w, at_mo(Var(w), fresh)))
 
 
-def _is_zero_mo(t: Term, fresh: FreshVars) -> Formula:
-    """t is the least atom (or bot in the degenerate empty order)."""
+def _end_atom_mo(t: Term, fresh: FreshVars, least: bool) -> Formula:
+    """t is the least (else the greatest) atom, or bot in the degenerate
+    empty order."""
     w = fresh.fresh("W")
-    least = And(_at(t, fresh),
-                Forall(w, Implies(_at(Var(w), fresh),
-                                  Not(LtEAtom(Var(w), t)))))
-    return Or(least, And(_no_atoms(fresh), Eq(t, BOT)))
-
-
-def _is_zerostar_mo(t: Term, fresh: FreshVars) -> Formula:
-    """t is the greatest atom (or bot in the degenerate empty order)."""
-    w = fresh.fresh("W")
-    greatest = And(_at(t, fresh),
-                   Forall(w, Implies(_at(Var(w), fresh),
-                                     Not(LtEAtom(t, Var(w))))))
-    return Or(greatest, And(_no_atoms(fresh), Eq(t, BOT)))
+    beyond = LtEAtom(Var(w), t) if least else LtEAtom(t, Var(w))
+    end = And(at_mo(t, fresh),
+              Forall(w, Implies(at_mo(Var(w), fresh), Not(beyond))))
+    return Or(end, And(_no_atoms(fresh), Eq(t, BOT)))
 
 
 def _succ_global(z: Term, zp: Term, fresh: FreshVars) -> Formula:
     """Atom zp is the immediate successor of atom z in the whole order."""
     w = fresh.fresh("W")
     return And(LtEAtom(z, zp),
-               Not(Exists(w, and_all([_at(Var(w), fresh),
+               Not(Exists(w, and_all([at_mo(Var(w), fresh),
                                       LtEAtom(z, Var(w)),
                                       LtEAtom(Var(w), zp)]))))
 
@@ -292,7 +270,7 @@ def _succ_within(a: Term, z: Term, zp: Term, fresh: FreshVars) -> Formula:
     """Atom zp is the immediate successor of atom z inside a."""
     w = fresh.fresh("W")
     return And(LtEAtom(z, zp),
-               Not(Exists(w, and_all([_at(Var(w), fresh),
+               Not(Exists(w, and_all([at_mo(Var(w), fresh),
                                       SubsetAtom(Var(w), a),
                                       LtEAtom(z, Var(w)),
                                       LtEAtom(Var(w), zp)]))))
@@ -314,21 +292,15 @@ def _inter_mo(u1: Term, u2: Term, v: Term, fresh: FreshVars) -> Formula:
                                       SubsetAtom(Var(w), v)))])
 
 
-def _min_mo(u: Term, v: Term, fresh: FreshVars) -> Formula:
+def _extreme_mo(u: Term, v: Term, fresh: FreshVars, least: bool) -> Formula:
+    """v is min(u) (else max(u)): bot for bot, else the atom of u with no
+    atom of u below (else above) it."""
     w = fresh.fresh("W")
-    proper = and_all([_at(v, fresh), SubsetAtom(v, u),
-                      Forall(w, Implies(And(_at(Var(w), fresh),
+    beyond = LtEAtom(Var(w), v) if least else LtEAtom(v, Var(w))
+    proper = and_all([at_mo(v, fresh), SubsetAtom(v, u),
+                      Forall(w, Implies(And(at_mo(Var(w), fresh),
                                             SubsetAtom(Var(w), u)),
-                                        Not(LtEAtom(Var(w), v))))])
-    return Or(And(Eq(u, BOT), Eq(v, BOT)), proper)
-
-
-def _max_mo(u: Term, v: Term, fresh: FreshVars) -> Formula:
-    w = fresh.fresh("W")
-    proper = and_all([_at(v, fresh), SubsetAtom(v, u),
-                      Forall(w, Implies(And(_at(Var(w), fresh),
-                                            SubsetAtom(Var(w), u)),
-                                        Not(LtEAtom(v, Var(w)))))])
+                                        Not(beyond)))])
     return Or(And(Eq(u, BOT), Eq(v, BOT)), proper)
 
 
@@ -336,10 +308,10 @@ def _sinv_mo(u: Term, v: Term, fresh: FreshVars) -> Formula:
     """v = preimage of u under the global successor, atom by atom."""
     z = fresh.fresh("Z")
     zp = fresh.fresh("Z")
-    member = Exists(zp, and_all([_at(Var(zp), fresh),
+    member = Exists(zp, and_all([at_mo(Var(zp), fresh),
                                  SubsetAtom(Var(zp), u),
                                  _succ_global(Var(z), Var(zp), fresh)]))
-    return Forall(z, Implies(_at(Var(z), fresh),
+    return Forall(z, Implies(at_mo(Var(z), fresh),
                              And(Implies(SubsetAtom(Var(z), v), member),
                                  Implies(member, SubsetAtom(Var(z), v)))))
 
@@ -349,11 +321,11 @@ def _msinv_mo(u1: Term, u2: Term, v: Term, fresh: FreshVars) -> Formula:
     z = fresh.fresh("Z")
     zp = fresh.fresh("Z")
     member = And(SubsetAtom(Var(z), u1),
-                 Exists(zp, and_all([_at(Var(zp), fresh),
+                 Exists(zp, and_all([at_mo(Var(zp), fresh),
                                      SubsetAtom(Var(zp), u1),
                                      SubsetAtom(Var(zp), u2),
                                      _succ_within(u1, Var(z), Var(zp), fresh)])))
-    return Forall(z, Implies(_at(Var(z), fresh),
+    return Forall(z, Implies(at_mo(Var(z), fresh),
                              And(Implies(SubsetAtom(Var(z), v), member),
                                  Implies(member, SubsetAtom(Var(z), v)))))
 
@@ -425,8 +397,7 @@ def _functional_atom_to_mo(g: Eq, src: str, fresh: FreshVars) -> Formula:
             return t
         if isinstance(t, Const) and t.name in ("zero", "zerostar"):
             u = fresh.fresh("U")
-            definition = (_is_zero_mo(Var(u), fresh) if t.name == "zero"
-                          else _is_zerostar_mo(Var(u), fresh))
+            definition = _end_atom_mo(Var(u), fresh, t.name == "zero")
             hoists.append((u, definition))
             return Var(u)
         raise EvalError(f"atom not unnested: {t!r}")
@@ -440,10 +411,8 @@ def _functional_atom_to_mo(g: Eq, src: str, fresh: FreshVars) -> Formula:
             core = _union_mo(args[0], args[1], v, fresh)
         elif app.op == "inter":
             core = _inter_mo(args[0], args[1], v, fresh)
-        elif app.op == "min":
-            core = _min_mo(args[0], v, fresh)
-        elif app.op == "max":
-            core = _max_mo(args[0], v, fresh)
+        elif app.op in ("min", "max"):
+            core = _extreme_mo(args[0], v, fresh, app.op == "min")
         elif app.op == "sinv" and src == "msofin":
             core = _sinv_mo(args[0], v, fresh)
         elif app.op == "msinv" and src == "wso":

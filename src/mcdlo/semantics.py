@@ -4,17 +4,21 @@ budgeted grid semantics on W(I) / L(I), plus relativisation transformers.
 The grid semantics is a witness-search procedure: quantified set variables
 range over subsets of a finite grid grown from the assignment's points (W),
 or over canonical interval unions with endpoints in the grid, including
-unbounded variants (L).  Both, and the subsets of MSO(n), are bitmasks, and
-one mask kernel evaluates all three: a structure is a constant table (the
-masks of its constants) and an op table (its function symbols as functions
-on masks), searched by one quantifier loop; the value-level structures of
-`models` stay as exact references.  The loop prunes each quantified
-variable by the conjuncts of its quantifier's body; a quantifier block
-(∃X∃Y… or ∀X∀Y…) is split at its first visit so that each conjunct sits
-under the last block variable it mentions.  Verdicts carry a stabilization
-flag comparing budgets k and k+1; stability is a heuristic, evidence but not
-proof of the true verdict (the three-atoms sentence of the tests stabilizes
-on a wrong false).
+unbounded variants (L).  The grid of budget k is a tuple of points in
+increasing order: 0 and the assignment's points (the seeds), each followed
+by k mean points that halve the way to the next seed (to 1 after the last).
+Only the order of the grid matters to the search; the rationals serve to
+place the assignment's points in it.  Grid sets, interval unions and the
+subsets of MSO(n) are all bitmasks, and one mask kernel evaluates all three:
+a structure is a constant table (the masks of its constants) and an op
+table (its function symbols as functions on masks), searched by one
+quantifier loop; the value-level structures of `models` stay as exact
+references.  The loop prunes each quantified variable by the conjuncts of
+its quantifier's body; a quantifier block (∃X∃Y… or ∀X∀Y…) is split at its
+first visit so that each conjunct sits under the last block variable it
+mentions.  Verdicts carry a stabilization flag comparing budgets k and k+1;
+stability is a heuristic, evidence but not proof of the true verdict (the
+three-atoms sentence of the tests stabilizes on a wrong false).
 """
 
 from __future__ import annotations
@@ -24,15 +28,16 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
-from .order import FinSet, IntervalUnion
-from .syntax import (ATOM_TYPES, FO_CONNECTIVES, And, App, Const, Eq, Exists,
+from .order import FinSet, IntervalUnion, check_point
+from .syntax import (ATOM_TYPES, FO_CONNECTIVES, And, App, Eq, Exists,
                      ExistsPartition, Forall, FreshVars, Formula, Implies,
                      LtEAtom, Not, Or, SubsetAtom, Term, Var, all_vars,
                      and_all, conjuncts, free_vars, map_children, substitute,
                      term_vars)
 from .models import EvalError, MsoFin
+from .rewriting import at_mo
 
 DEFAULT_GRID_CAP = 14
 DEFAULT_MSOFIN_CAP = 16
@@ -404,47 +409,37 @@ def bruteforce_eval(m: MsoFin, f: Formula, assignment: Optional[dict] = None,
 # ---------------------------------------------------------------------------
 # Grids
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Witness pool: the seeds plus k mean-generated points inside every gap
-    between consecutive seeds and k points above the greatest seed."""
-
-    seeds: FinSet
-    budget: int
-
-    def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if Fraction(0) not in set(self.seeds.points):
-            object.__setattr__(self, "seeds", self.seeds.union(FinSet.of(0)))
-
-    def points(self) -> FinSet:
-        pts = list(self.seeds.points)
-        out = set(pts)
-        gaps = list(zip(pts, pts[1:])) + [(pts[-1], Fraction(1))]
-        for a, b in gaps:
-            lo = a
-            for _ in range(self.budget):
-                lo = (lo + b) / 2
-                out.add(lo)
-        return FinSet.from_iterable(out)
-
-
-def make_grid(seed_points, budget: int, cap: Optional[int] = None) -> FinSet:
-    grid = GridSpec(FinSet.from_iterable(seed_points), budget).points()
+def make_grid(seed_points, budget: int, cap: Optional[int] = None) -> tuple:
+    """The grid of a budget, in increasing order: 0 and each seed, each
+    followed by `budget` points that halve the way to the next seed (to 1
+    after the greatest)."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    seeds = sorted({Fraction(0), *seed_points})
+    check_point(seeds[0])
+    check_point(seeds[-1])
+    size = len(seeds) * (budget + 1)
     limit = grid_cap() if cap is None else cap
-    if len(grid) > limit:
-        raise GridCapError(f"grid of {len(grid)} points exceeds cap {limit}")
-    return grid
+    if size > limit:
+        raise GridCapError(f"grid of {size} points exceeds cap {limit}")
+    grid = []
+    for a, b in zip(seeds, seeds[1:] + [Fraction(1)]):
+        grid.append(a)
+        for _ in range(budget):
+            a = (a + b) / 2
+            grid.append(a)
+    return tuple(grid)
 
 
 def _w_seed_points(assignment: dict) -> set:
-    pts = {Fraction(0)}
+    """The points of the assignment's values: the members of finite sets and
+    the finite endpoints of interval unions."""
+    pts = set()
     for v in assignment.values():
         if isinstance(v, FinSet):
             pts.update(v.points)
         elif isinstance(v, IntervalUnion):
-            pts.update(v.endpoints("both").points)
+            pts.update(p for iv in v.intervals for p in iv if p is not None)
         else:
             raise EvalError(f"bad assignment value {v!r}")
     return pts
@@ -454,24 +449,20 @@ def _w_seed_points(assignment: dict) -> set:
 # Grid evaluation on W(I)
 
 class GridWEvaluator(_MaskEvaluator):
-    """Subsets of the grid as bitmasks, bit i the i-th grid point."""
+    """Subsets of the grid (its points in increasing order) as bitmasks,
+    bit i the i-th grid point."""
 
     name = "W(I)"
     consts = _GRID_CONSTS
     ops = {**_BOOLEAN_OPS, "min": _least, "max": _greatest, "msinv": _msinv}
 
-    def __init__(self, grid: FinSet):
-        self.grid = grid
-        self.index = {p: i for i, p in enumerate(grid.points)}
-        self.size = len(grid.points)
+    def __init__(self, grid: Sequence[Fraction]):
+        self.index = {p: i for i, p in enumerate(grid)}
+        self.size = len(grid)
         self.full = (1 << self.size) - 1
         self.blocks: dict = {}
 
     encode = _point_mask
-
-    def decode(self, mask: int) -> FinSet:
-        return FinSet.from_iterable(self.grid.points[i]
-                                    for i in range(self.size) if mask >> i & 1)
 
     formula = _grid_formula
 
@@ -488,9 +479,9 @@ class GridLEvaluator(_MaskEvaluator):
     name = "L(I)"
     consts = _GRID_CONSTS
 
-    def __init__(self, grid: FinSet):
-        self.index = {p: i for i, p in enumerate(grid.points)}
-        self.size = len(grid.points)
+    def __init__(self, grid: Sequence[Fraction]):
+        self.index = {p: i for i, p in enumerate(grid)}
+        self.size = len(grid)
         self.full = (1 << 2 * self.size) - 1
         points = self.points = self.full // 3  # the even bits
         tail = self.tail = 1 << 2 * self.size - 1
@@ -623,15 +614,6 @@ def stabilize(kind: str, f: Formula, assignment: Optional[dict] = None,
 # ---------------------------------------------------------------------------
 # Relativisation
 
-def at_mo(var: str, fresh: FreshVars) -> Formula:
-    """MO formula defining the atoms (minimal nonempty sets)."""
-    w = fresh.fresh("W")
-    return And(Not(Eq(Var(var), Const("bot"))),
-               Forall(w, Implies(SubsetAtom(Var(w), Var(var)),
-                                 Or(Eq(Var(w), Const("bot")),
-                                    Eq(Var(w), Var(var))))))
-
-
 def relativize(f: Formula, mode, fresh: Optional[FreshVars] = None) -> Formula:
     """Quantifier relativisation of an MO formula.
 
@@ -664,7 +646,7 @@ def relativize(f: Formula, mode, fresh: Optional[FreshVars] = None) -> Formula:
             z = fresh.fresh("Z")
             window = And(Or(LtEAtom(Var(ivar), Var(z)), Eq(Var(ivar), Var(z))),
                          LtEAtom(Var(z), Var(jvar)))
-            return Forall(z, Implies(And(at_mo(z, fresh),
+            return Forall(z, Implies(And(at_mo(Var(z), fresh),
                                          SubsetAtom(Var(z), Var(x))),
                                      window))
     else:

@@ -376,39 +376,54 @@ def parse(text: str, sig: Signature) -> Formula:
 # ---------------------------------------------------------------------------
 # Printing
 
+_HEADS = {Eq: "(=", SubsetAtom: "(subset", LtEAtom: "(ltE", Not: "(not",
+          And: "(and", Or: "(or", Implies: "(implies", Exists: "(exists",
+          Forall: "(forall", ExistsPartition: "(exists-partition"}
+
+
+def _write(node, out: list) -> None:
+    """Append the text of a term or formula to out, token by token: the text
+    is joined once at the top, so no node's text is copied again at every
+    enclosing level."""
+    kind = type(node)
+    if kind is Var or kind is Const:
+        out.append(node.name)
+        return
+    if kind is RAtom:
+        out.append("(R " + " ".join(node.args) + ")")
+        return
+    if kind is App:
+        out.append("(" + node.op)
+        children = node.args
+    else:
+        shape = _SHAPE.get(kind)
+        if shape is None:
+            raise TypeError(f"not a formula: {node!r}")
+        out.append(_HEADS[kind])
+        if shape == _BINDER:
+            out.append(" " + node.var)
+        elif shape == _PARTITION:
+            out.append(" (" + " ".join(node.block_vars) + ")")
+        children = ((node.left, node.right) if shape in (_LEAF, _BINARY)
+                    else (node.body,))
+    for child in children:
+        out.append(" ")
+        _write(child, out)
+    out.append(")")
+
+
 def print_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        return t.name
-    return "(" + t.op + " " + " ".join(print_term(a) for a in t.args) + ")"
+    out: list = []
+    _write(t, out)
+    return "".join(out)
 
 
 def print_formula(f: Formula) -> str:
-    if isinstance(f, Eq):
-        return f"(= {print_term(f.left)} {print_term(f.right)})"
-    if isinstance(f, SubsetAtom):
-        return f"(subset {print_term(f.left)} {print_term(f.right)})"
-    if isinstance(f, LtEAtom):
-        return f"(ltE {print_term(f.left)} {print_term(f.right)})"
-    if isinstance(f, Not):
-        return f"(not {print_formula(f.body)})"
-    if isinstance(f, And):
-        return f"(and {print_formula(f.left)} {print_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"(or {print_formula(f.left)} {print_formula(f.right)})"
-    if isinstance(f, Implies):
-        return f"(implies {print_formula(f.left)} {print_formula(f.right)})"
-    if isinstance(f, Exists):
-        return f"(exists {f.var} {print_formula(f.body)})"
-    if isinstance(f, Forall):
-        return f"(forall {f.var} {print_formula(f.body)})"
-    if isinstance(f, ExistsPartition):
-        return ("(exists-partition (" + " ".join(f.block_vars) + ") "
-                + print_formula(f.body) + ")")
-    if isinstance(f, RAtom):
-        return "(R " + " ".join(f.args) + ")"
-    raise TypeError(f"not a formula: {f!r}")
+    if type(f) not in _SHAPE:
+        raise TypeError(f"not a formula: {f!r}")
+    out: list = []
+    _write(f, out)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

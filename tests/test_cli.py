@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import runpy
@@ -182,3 +183,20 @@ def test_grid_convergence_script_runs(monkeypatch, capsys):
     assert runpy.run_path(str(script))["main"](["--trials", "5"]) == 0
     assert "5 random formulas" in capsys.readouterr().out
     assert "MCDLO_GRID_CAP" not in os.environ
+
+
+def test_traced_bench_entry_points_resolve():
+    """Every entry point the traced bench wraps exists under its name, a
+    method in its class's own namespace, where the bench replaces it."""
+    tracing = Path(__file__).resolve().parent.parent / "perfbench" / \
+        "tracing.py"
+    entry_points = runpy.run_path(str(tracing))["ENTRY_POINTS"]
+    assert entry_points
+    for _layer, modname, path, mode in entry_points:
+        assert mode in ("span", "leaf", "count")
+        owner = importlib.import_module(modname)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        assert attr in vars(owner), f"{modname}.{path} is gone"
+        assert callable(getattr(owner, attr))

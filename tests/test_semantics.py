@@ -9,7 +9,7 @@ from mcdlo.models import (EvalError, LciStructure, MsoFin, WsoStructure,
                           eval_atomic, eval_term)
 from mcdlo.order import FinSet, IntervalUnion, enumerate_interval_unions
 from mcdlo.semantics import (BruteForceEvaluator, EvalReport, GridCapError,
-                             GridLEvaluator, GridSpec, GridWEvaluator,
+                             GridLEvaluator, GridWEvaluator, _w_seed_points,
                              bruteforce_eval, grid_eval, make_grid,
                              relativize, split_block, stabilize)
 from mcdlo.syntax import (ARITY, And, App, Const, Eq, Exists, Forall,
@@ -73,13 +73,6 @@ def test_bruteforce_matches_naive_reference(f):
     for vals in itertools.product(m.universe(), repeat=len(names)):
         asg = dict(zip(names, vals))
         assert bruteforce_eval(m, f, asg) == naive_msofin(m, f, asg)
-
-
-def test_gridw_encode_decode_roundtrip():
-    grid = make_grid([Fraction(0), Fraction(1, 2)], 1)
-    ev = GridWEvaluator(grid)
-    for mask in range(ev.full + 1):
-        assert ev.encode(ev.decode(mask)) == mask
 
 
 def naive_gridw(ev, f, env):
@@ -435,12 +428,27 @@ def test_prenex_three_atoms_matches_miniscoped(time_limit):
                 == grid_eval("w", miniscoped, asg, k, cap=15)), k
 
 
-def test_grid_spec_contains_zero_and_grows():
-    g1 = GridSpec(FinSet.of(Fraction(1, 2)), 1).points()
-    assert Fraction(0) in g1.points
-    g2 = GridSpec(FinSet.of(Fraction(1, 2)), 2).points()
-    assert set(g1.points) <= set(g2.points)
-    assert len(g2) > len(g1)
+def test_make_grid_pins_seeds_and_mean_points():
+    def points(*texts):
+        return tuple(Fraction(t) for t in texts)
+
+    half = Fraction(1, 2)
+    assert make_grid([half], 2) == points("0", "1/4", "3/8", "1/2", "3/4",
+                                          "7/8")
+    assert make_grid([], 1) == points("0", "1/2")
+    # a repeated seed, or a seed of 0, gives no duplicate point
+    assert make_grid([half, Fraction(0), half], 1) == points("0", "1/4",
+                                                            "1/2", "3/4")
+    with pytest.raises(ValueError):
+        make_grid([Fraction(1)], 1)
+    # an unbounded interval seeds its left endpoint only
+    u = IntervalUnion.normalize([(Fraction(1, 4), half),
+                                 (Fraction(3, 4), None)])
+    assert _w_seed_points({"X": u, "Y": FinSet.of(Fraction(1, 8))}) == set(
+        points("1/8", "1/4", "1/2", "3/4"))
+    tail = IntervalUnion(((half, None),))
+    assert make_grid(_w_seed_points({"X": tail}), 1) == points("0", "1/4",
+                                                               "1/2", "3/4")
 
 
 def test_grid_cap_enforced(monkeypatch):
