@@ -148,9 +148,11 @@ def cmd_fv_reduce(args) -> int:
         f, sorted(params),
         oracle=lambda s: stabilize("w", s, {}, kmax=args.kmax))
     log.info("reduced to %d component sentences, stabilized=%s, "
-             "psi blocks kept=%d dropped=%d, psi nodes=%d",
+             "psi blocks kept=%d dropped=%d, psi nodes=%d, "
+             "patterns pruned=%d, oracle cache hits=%d",
              len(result.sentences), result.stabilized, result.blocks_kept,
-             result.blocks_dropped, result.psi_nodes)
+             result.blocks_dropped, result.psi_nodes, result.patterns_pruned,
+             result.oracle_cache_hits)
     _emit(result.to_json())
     return EXIT_TRUE if result.stabilized else EXIT_UNSTABLE
 

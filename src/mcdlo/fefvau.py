@@ -7,10 +7,24 @@ existential step uses the classical partition construction, realised as an
 `ExistsPartition` node whose semantics is a search over labellings of index
 points by component patterns.
 
+The existential step builds only the sign patterns of its component formulas
+that some component can realise: it backtracks over the component formulas
+and cuts a partial pattern as soon as a `realizable` callback says that
+`exists x (partial literals)` holds nowhere.  Every extension of a cut pattern
+is a stronger formula, so its block is empty in every labelling and dropping
+it is exact.  Without a callback every one of the 2^m patterns is kept.
+
 `translate_with_parameters` instantiates the machinery for W(I) decomposed
 around a parameter tuple: truth of an MO formula at the parameters reduces
 to truth of an index-algebra formula in the restriction to the parameter
-hull, gated by oracle-decided component sentences.
+hull, gated by oracle-decided component sentences.  In each window between
+hull points a parameter's component is `zero` or `bot`, so a parameter
+region is a choice of one of the two per parameter.  Its callback asks the
+oracle, region by region, for `exists x (partial literals)` with the
+parameters set to `zero`/`bot` and the other context variables closed
+existentially.  A pattern false in every region, for every value of the
+bound context, is empty in every labelling; cutting on an oracle "false"
+places the same trust in the oracle that the gates do.
 """
 
 from __future__ import annotations
@@ -18,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .order import FinSet, Rat
 from .syntax import (ATOM_TYPES, FO_CONNECTIVES, And, App, Const, Eq, Exists,
@@ -32,7 +46,8 @@ from .semantics import (BruteForceEvaluator, EvalReport, bruteforce_eval,
 
 
 class ThetaOverflowError(EvalError):
-    pass
+    """An existential step of `fv_reduce` has more realizable sign patterns
+    than its theta cap allows (every pattern, without a callback)."""
 
 
 DEFAULT_THETA_CAP = 4096
@@ -147,9 +162,27 @@ def _dedup(seq: AcceptableSequence) -> AcceptableSequence:
 
 
 def fv_reduce(phi: Formula, context: Optional[Sequence[str]] = None,
-              theta_cap: int = DEFAULT_THETA_CAP) -> AcceptableSequence:
+              theta_cap: int = DEFAULT_THETA_CAP,
+              realizable: Optional[Callable[[Formula, Any], Any]] = None
+              ) -> AcceptableSequence:
     """Fold a power-signature formula into one acceptable sequence whose
-    relation is equivalent to the formula over every generalised power."""
+    relation is equivalent to the formula over every generalised power.
+
+    The existential step searches the sign patterns of its m component
+    formulas depth first, deciding one formula per level, and asks
+    `realizable(eta, within)` about each partial pattern, with eta the
+    sentence `exists x (partial literals)` and `within` the callback's own
+    answer for the shorter prefix (None at the root).  A falsy answer cuts
+    the pattern: every extension implies it, so if it holds in no component
+    for any value of the context, each extension's block is empty in every
+    labelling and dropping the whole subtree leaves the relation unchanged.
+    Only the leaves, the full patterns left, get partition blocks, eta
+    sentences and union terms.  Without a callback every pattern is kept,
+    which is the classical 2^m construction.  More than `theta_cap` leaves in
+    one step raise `ThetaOverflowError`."""
+    if realizable is None:
+        def realizable(eta: Formula, within: Any) -> bool:
+            return True
     if context is None:
         context = tuple(sorted(free_vars(phi)))
     context = tuple(context)
@@ -184,39 +217,45 @@ def fv_reduce(phi: Formula, context: Optional[Sequence[str]] = None,
         if isinstance(g, Exists):
             sub = _dedup(go(g.body, ctx + (g.var,)))
             m = len(sub.thetas)
-            if 1 << m > theta_cap:
-                raise ThetaOverflowError(
-                    f"existential step needs 2^{m} component patterns "
-                    f"(cap {theta_cap})")
-            patterns = [frozenset(s) for r in range(m + 1)
-                        for s in itertools.combinations(range(m), r)]
-            new_vars = []
-            new_thetas = []
-            block_of: dict[frozenset, str] = {}
-            for sigma in patterns:
-                literals = [sub.thetas[j] if j in sigma else Not(sub.thetas[j])
-                            for j in range(m)]
-                eta = Exists(g.var, and_all(literals)) if literals \
-                    else Exists(g.var, Eq(Const("bot"), Const("bot")))
-                new_vars.append(fresh.fresh("Ys"))
-                new_thetas.append(eta)
-                block_of[sigma] = fresh.fresh("Zp")
+            # each leaf: the indices of its positive literals and its eta
+            leaves: list[tuple[frozenset, Formula]] = []
+
+            def search(j: int, literals: tuple, positive: frozenset,
+                       eta: Formula, within: Any) -> None:
+                if j == m:
+                    if len(leaves) == theta_cap:
+                        raise ThetaOverflowError(
+                            f"existential step has more than {theta_cap} "
+                            f"realizable patterns of {m} component formulas")
+                    leaves.append((positive, eta))
+                    return
+                theta = sub.thetas[j]
+                for lit, pos in ((theta, positive | {j}), (Not(theta), positive)):
+                    lits = literals + (lit,)
+                    child = Exists(g.var, and_all(lits))
+                    where = realizable(child, within)
+                    if where:
+                        search(j + 1, lits, pos, child, where)
+
+            search(0, (), frozenset(),
+                   Exists(g.var, Eq(Const("bot"), Const("bot"))), None)
+            new_vars = [fresh.fresh("Ys") for _ in leaves]
+            blocks = [fresh.fresh("Zp") for _ in leaves]
             unions = {}
             for j, y in enumerate(sub.support_vars):
                 union_term: object = None
-                for sigma in patterns:
+                for (sigma, _eta), z in zip(leaves, blocks):
                     if j in sigma:
-                        z = Var(block_of[sigma])
-                        union_term = z if union_term is None else App(
-                            "union", (union_term, z))
+                        union_term = Var(z) if union_term is None else App(
+                            "union", (union_term, Var(z)))
                 unions[y] = Const("bot") if union_term is None else union_term
             inner = substitute(sub.index_formula, unions)
-            guards = [SubsetAtom(Var(block_of[sigma]), Var(y))
-                      for sigma, y in zip(patterns, new_vars)]
-            body = and_all(guards + [inner])
-            phi_new = ExistsPartition(tuple(block_of[s] for s in patterns), body)
-            return _dedup(AcceptableSequence(phi_new, tuple(new_vars),
-                                             tuple(new_thetas), ctx))
+            guards = [SubsetAtom(Var(z), Var(y))
+                      for z, y in zip(blocks, new_vars)]
+            phi_new = ExistsPartition(tuple(blocks), and_all(guards + [inner]))
+            return _dedup(AcceptableSequence(
+                phi_new, tuple(new_vars), tuple(eta for _s, eta in leaves),
+                ctx))
         raise EvalError(f"not a power-signature formula: {g!r}")
 
     return go(phi, context)
@@ -372,6 +411,8 @@ class ParameterTranslation:
     blocks_kept: int      # partition blocks left in psi
     blocks_dropped: int   # dead blocks removed from psi
     psi_nodes: int        # formula and term nodes of psi
+    patterns_pruned: int  # partial sign patterns the oracle cut
+    oracle_cache_hits: int  # repeated sentences answered from the cache
 
     def to_json(self) -> dict:
         return {"psi": print_formula(self.psi),
@@ -494,8 +535,18 @@ def translate_with_parameters(
         theta_cap: int = DEFAULT_THETA_CAP) -> ParameterTranslation:
     """Produce psi with W(I) |= phi(A-bar) iff the restriction to the hull of
     A-bar satisfies psi(A-bar), consulting a W(I)-sentence oracle for the
-    component truth values.  Every gated support term goes into psi in one
-    substitution, and partition blocks the oracle gates to bot are dropped."""
+    component truth values.
+
+    A region is a choice of `zero` or `bot` for each parameter, the two
+    values a parameter's component takes in a window.  The reduction's
+    `realizable` callback answers with the regions, among those where the
+    shorter prefix held, in which the oracle finds the pattern's sentence
+    true, with the other context variables closed existentially.  A region
+    outside them is one where a weaker formula already failed, so each answer
+    is the formula's full region set, and for a top-level component formula
+    it is the gate: the union of its regions' index terms.  Every gated
+    support term goes into psi in one substitution, and partition blocks the
+    oracle gates to bot are dropped."""
     params = tuple(params)
     if set(free_vars(phi)) - set(params):
         raise EvalError("free variables of phi must be among the parameters")
@@ -506,36 +557,69 @@ def translate_with_parameters(
     pseudo_vars = [v for v, _val in pseudo.values()]
     all_params = params + tuple(pseudo_vars)
     phi_pi = _power_formula(stripped)
-    seq = fv_reduce(phi_pi, context=all_params, theta_cap=theta_cap)
 
     sentences: list[Formula] = []
     reports: list[EvalReport] = []
     cache: dict[Formula, bool] = {}
     all_stable = True
+    cache_hits = pruned = 0
 
     def consult(sentence: Formula) -> bool:
-        nonlocal all_stable
-        if sentence not in cache:
-            report = oracle(sentence)
-            sentences.append(sentence)
-            reports.append(report)
-            all_stable = all_stable and report.stabilized
-            cache[sentence] = report.verdict
-        return cache[sentence]
+        nonlocal all_stable, cache_hits
+        verdict = cache.get(sentence)
+        if verdict is not None:
+            cache_hits += 1
+            return verdict
+        report = oracle(sentence)
+        sentences.append(sentence)
+        reports.append(report)
+        all_stable = all_stable and report.stabilized
+        cache[sentence] = report.verdict
+        return report.verdict
 
-    patterns = [frozenset(s) for r in range(len(all_params) + 1)
-                for s in itertools.combinations(range(len(all_params)), r)]
+    # the pseudo-parameter of bot is bot in every window, so no region
+    # sets it to zero
+    bot_var = pseudo["bot"][0] if "bot" in pseudo else None
+    open_params = [l for l, name in enumerate(all_params) if name != bot_var]
+    regions = [frozenset(s) for r in range(len(open_params) + 1)
+               for s in itertools.combinations(open_params, r)]
+    values = {region: {name: Const("zero") if l in region else Const("bot")
+                       for l, name in enumerate(all_params)}
+              for region in regions}
+    where: dict[Formula, frozenset] = {}
+
+    def holds_in(f: Formula, within) -> frozenset:
+        """The regions among `within` where the oracle says f holds for some
+        value of its non-parameter variables."""
+        found = where.get(f)
+        if found is None:
+            closed = f
+            for name in sorted(free_vars(f) - set(all_params)):
+                closed = Exists(name, closed)
+            found = where[f] = frozenset(
+                region for region in within
+                if consult(substitute(closed, values[region])))
+        return found
+
+    def realizable(eta: Formula, within) -> frozenset:
+        nonlocal pruned
+        out = holds_in(eta, regions if within is None else within)
+        pruned += not out
+        return out
+
+    seq = fv_reduce(phi_pi, context=all_params, theta_cap=theta_cap,
+                    realizable=realizable)
 
     # pseudo-parameters denote definable index elements
     index_term = {name: Var(name) for name in params}
     index_term.update({vname: Const(cname)
                        for cname, (vname, _value) in pseudo.items()})
 
-    def region_term(pattern: frozenset):
+    def region_term(region: frozenset):
         term = Const("top")
         for l, name in enumerate(all_params):
             piece = index_term[name]
-            if l not in pattern:
+            if l not in region:
                 piece = App("compl", (piece,))
             term = App("inter", (term, piece))
         return term
@@ -543,16 +627,16 @@ def translate_with_parameters(
     gates = {}
     for y, theta in zip(seq.support_vars, seq.thetas):
         gated = None
-        for pattern in patterns:
-            inst = substitute(theta, {
-                name: Const("zero") if l in pattern else Const("bot")
-                for l, name in enumerate(all_params)})
-            if consult(inst):
-                reg = region_term(pattern)
+        held = holds_in(theta, regions)
+        for region in regions:
+            if region in held:
+                reg = region_term(region)
                 gated = reg if gated is None else App("union", (gated, reg))
         gates[y] = gated if gated is not None else BOT
     psi, kept, dropped = drop_dead_blocks(substitute(seq.index_formula, gates))
     return ParameterTranslation(psi=psi, sentences=sentences, reports=reports,
                                 stabilized=all_stable, blocks_kept=kept,
                                 blocks_dropped=dropped,
-                                psi_nodes=_node_count(psi))
+                                psi_nodes=_node_count(psi),
+                                patterns_pruned=pruned,
+                                oracle_cache_hits=cache_hits)

@@ -32,6 +32,13 @@ PARAM_CORPUS = [
     "(exists X (exists Y (and (subset X A) (and (subset Y X) (subset Y B)))))",
 ]
 
+# MO formulas with three parameters: a list of their own, since criterion 7
+# counts its cases over PARAM_CORPUS and its pool holds pairs at most
+PARAM_CORPUS_3 = [
+    "(exists X (exists Y (and (subset X A) (and (subset Y X) "
+    "(and (subset Y B) (ltE Y C))))))",
+]
+
 
 @pytest.fixture(scope="session")
 def subs3():

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcdlo.fefvau import (AcceptableSequence, PowerElement, PowerStructure,
-                          ThetaOverflowError, atomic_sequences,
+from mcdlo.fefvau import (DEFAULT_THETA_CAP, AcceptableSequence, PowerElement,
+                          PowerStructure, ThetaOverflowError, atomic_sequences,
                           constant_sequence, decompose, drop_dead_blocks,
                           funky, fv_reduce, reassemble, support,
                           translate_with_parameters)
@@ -17,7 +17,7 @@ from mcdlo.syntax import (And, App, Const, Eq, Exists, ExistsPartition, Forall,
                           Implies, Not, Or, RAtom, SubsetAtom, Var, and_all,
                           free_vars, parse, SIGNATURES)
 
-from conftest import PARAM_CORPUS
+from conftest import PARAM_CORPUS, PARAM_CORPUS_3, POOL3, subsets_of
 
 MO = SIGNATURES["mo"]
 
@@ -44,22 +44,52 @@ def rand_power_formula(rng, names, depth):
     return q(rng.choice(names), rand_power_formula(rng, names, depth - 1))
 
 
+def _power_formulas():
+    rng = random.Random(11)
+    return [rand_power_formula(rng, ["U", "V"], rng.randint(1, 2))
+            for _ in range(15)]
+
+
+def _assert_same_relation(phi, seq):
+    """The folded sequence and the formula agree on every pair of elements
+    of a small generalised power."""
+    ps = PowerStructure(MsoFin(2), [Fraction(0), Fraction(1, 2)])
+    elements = list(ps.elements())
+    for fu in elements:
+        for fv in elements:
+            env = {"U": fu, "V": fv}
+            direct = ps.eval(phi, env)
+            via_seq = ps.r_atom(seq, [env[n] for n in seq.arity])
+            assert direct == via_seq, (phi, fu, fv)
+
+
 def test_fv_reduce_equivalent_on_enumerable_power():
     """The folded acceptable sequence defines the same relation as the
     original formula on every element of a small generalised power."""
-    rng = random.Random(11)
-    ps = PowerStructure(MsoFin(2), [Fraction(0), Fraction(1, 2)])
-    elements = list(ps.elements())
-    for _ in range(15):
-        phi = rand_power_formula(rng, ["U", "V"], rng.randint(1, 2))
-        ctx = ("U", "V")
-        seq = fv_reduce(phi, context=ctx)
-        for fu in elements:
-            for fv in elements:
-                env = {"U": fu, "V": fv}
-                direct = ps.eval(phi, env)
-                via_seq = ps.r_atom(seq, [env[n] for n in seq.arity])
-                assert direct == via_seq, (phi, fu, fv)
+    for phi in _power_formulas():
+        _assert_same_relation(phi, fv_reduce(phi, context=("U", "V")))
+
+
+def test_fv_reduce_pruning_is_exact_on_enumerable_power():
+    """Cutting the sign patterns whose existential closure is false in
+    MSO(2) leaves the relation of the folded sequence unchanged."""
+    m2 = MsoFin(2)
+
+    def exact(eta, _within):
+        closed = eta
+        for name in sorted(free_vars(eta)):
+            closed = Exists(name, closed)
+        return bruteforce_eval(m2, closed, {})
+
+    ctx = ("U", "V")
+    cut = 0
+    for phi in _power_formulas():
+        seq = fv_reduce(phi, context=ctx, realizable=exact)
+        every = fv_reduce(phi, context=ctx)
+        cut += (len(block_names(every.index_formula))
+                - len(block_names(seq.index_formula)))
+        _assert_same_relation(phi, seq)
+    assert cut > 0
 
 
 def test_fv_reduce_respects_theta_cap():
@@ -219,8 +249,29 @@ def test_nested_block_names_distinct_across_levels():
     names = block_names(out.psi)
     assert len(names) == len(set(names))
     assert free_vars(out.psi) <= {"A", "B"}
-    assert len(out.sentences) == 1024
-    assert out.blocks_dropped > 0
+    assert len(out.sentences) < 1024
+    assert out.blocks_kept == 15
+
+
+def test_three_parameter_psi_agrees_with_stabilize():
+    """Nested three-parameter formulas reduce under the default theta cap,
+    and psi agrees with direct stabilization on every POOL3 triple."""
+    subs = subsets_of(POOL3)
+    for text in PARAM_CORPUS_3:
+        phi = parse(text, MO)
+        params = tuple(sorted(free_vars(phi)))
+        out = translate_with_parameters(phi, params,
+                                        theta_cap=DEFAULT_THETA_CAP)
+        assert out.stabilized
+        assert dead_guards(out.psi) == []
+        for values in itertools.product(subs, repeat=len(params)):
+            asg = dict(zip(params, values))
+            er = restrict(WsoStructure(), funky(values))
+            index_asg = {name: er.to_msofin(v) for name, v in asg.items()}
+            direct = stabilize("w", phi, asg)
+            assert direct.stabilized
+            got = bruteforce_eval(er.msofin(), out.psi, index_asg)
+            assert got == direct.verdict, (text, asg)
 
 
 def test_param_corpus_psi_keeps_live_blocks_only():
