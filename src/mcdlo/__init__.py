@@ -12,12 +12,11 @@ between the signatures of MSO(n), W(I), and L(I).
 from .order import FinSet, IntervalUnion, Rat, format_rat, parse_rat
 from .models import (ElementRestriction, IntervalRestriction, LciStructure,
                      MsoFin, WsoStructure, eval_atomic, eval_term, restrict)
-from .semantics import (EvalReport, bruteforce_eval, grid_eval, relativize,
-                        stabilize)
+from .semantics import EvalReport, bruteforce_eval, grid_eval, stabilize
 from .syntax import (MO, MSOFIN, WSO, LCI, SIGNATURES, parse, print_formula)
 from .rewriting import (CodePair, code_domain, defeq_translate,
                         l_in_w_translate, lci_existential_rewrite,
-                        qf_positive_rewrite, w_in_l_translate)
+                        qf_positive_rewrite, relativize, w_in_l_translate)
 from .fefvau import (ParameterTranslation, PowerStructure, fv_reduce,
                      translate_with_parameters)
 

@@ -35,11 +35,11 @@ from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
 from .order import FinSet, Rat
-from .syntax import (ATOM_TYPES, FO_CONNECTIVES, And, App, Const, Eq, Exists,
-                     ExistsPartition, Forall, Formula, FreshVars, Implies,
-                     LtEAtom, Not, Or, RAtom, SubsetAtom, Var, all_vars,
-                     and_all, conjuncts, free_vars, map_children,
-                     print_formula, subformulas, substitute, subterms)
+from .syntax import (ATOM_TYPES, And, App, Const, Eq, Exists, ExistsPartition,
+                     Forall, Formula, FreshVars, Implies, LtEAtom, Not, Or,
+                     RAtom, SubsetAtom, Var, all_vars, and_all, conjuncts,
+                     free_vars, map_atoms, map_children, print_formula,
+                     subformulas, substitute, subterms)
 from .models import EvalError, MsoFin, WsoStructure, restrict
 from .semantics import (BruteForceEvaluator, EvalReport, bruteforce_eval,
                         stabilize)
@@ -431,15 +431,9 @@ def _power_formula(phi: Formula) -> Formula:
             return t.name
         raise EvalError(f"parameter pipeline needs variable atoms, got {t!r}")
 
-    def go(g: Formula) -> Formula:
-        if isinstance(g, ATOM_TYPES):
-            return RAtom(seqs[names[type(g)]],
-                         (term_name(g.left), term_name(g.right)))
-        if isinstance(g, FO_CONNECTIVES):
-            return map_children(g, go)
-        raise EvalError(f"not an MO formula: {g!r}")
-
-    return go(phi)
+    return map_atoms(phi, lambda g: RAtom(seqs[names[type(g)]],
+                                          (term_name(g.left),
+                                           term_name(g.right))))
 
 
 def _strip_constants(phi: Formula, fresh: FreshVars):
@@ -457,14 +451,8 @@ def _strip_constants(phi: Formula, fresh: FreshVars):
             return Var(pseudo[t.name][0])
         return t
 
-    def go(g: Formula) -> Formula:
-        if isinstance(g, ATOM_TYPES):
-            return type(g)(handle_term(g.left), handle_term(g.right))
-        if isinstance(g, FO_CONNECTIVES):
-            return map_children(g, go)
-        raise EvalError(f"not an MO formula: {g!r}")
-
-    return go(phi), pseudo
+    return map_atoms(phi, lambda g: type(g)(handle_term(g.left),
+                                            handle_term(g.right))), pseudo
 
 
 BOT = Const("bot")
@@ -531,8 +519,8 @@ def default_sentence_oracle(sentence: Formula, kmax: int = 4) -> EvalReport:
 
 def translate_with_parameters(
         phi: Formula, params: Sequence[str],
-        oracle: Optional[Callable[[Formula], EvalReport]] = None,
-        theta_cap: int = DEFAULT_THETA_CAP) -> ParameterTranslation:
+        oracle: Optional[Callable[[Formula], EvalReport]] = None
+        ) -> ParameterTranslation:
     """Produce psi with W(I) |= phi(A-bar) iff the restriction to the hull of
     A-bar satisfies psi(A-bar), consulting a W(I)-sentence oracle for the
     component truth values.
@@ -607,8 +595,7 @@ def translate_with_parameters(
         pruned += not out
         return out
 
-    seq = fv_reduce(phi_pi, context=all_params, theta_cap=theta_cap,
-                    realizable=realizable)
+    seq = fv_reduce(phi_pi, context=all_params, realizable=realizable)
 
     # pseudo-parameters denote definable index elements
     index_term = {name: Var(name) for name in params}

@@ -12,12 +12,8 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .order import FinSet, IntervalUnion
-from .syntax import (ATOM_TYPES, And, App, Const, Eq, Implies, LtEAtom, Not,
-                     Or, SubsetAtom, Term, Var)
-
-
-class EvalError(ValueError):
-    pass
+from .syntax import (ATOM_TYPES, And, App, Const, Eq, EvalError, Implies,
+                     LtEAtom, Not, Or, SubsetAtom, Term, Var)
 
 
 @dataclass(frozen=True)

@@ -252,15 +252,6 @@ class IntervalUnion:
     def right_endpoints(self) -> FinSet:
         return FinSet.from_iterable(r for _, r in self.intervals if r is not None)
 
-    def endpoints(self, side: str = "both") -> FinSet:
-        if side == "left":
-            return self.left_endpoints()
-        if side == "right":
-            return self.right_endpoints()
-        if side == "both":
-            return self.left_endpoints().union(self.right_endpoints())
-        raise ValueError(f"unknown side {side!r}")
-
     def is_finite_set(self) -> bool:
         """True when every interval is degenerate (the l(X) = r(X) predicate)."""
         return self.left_endpoints() == self.right_endpoints()

@@ -1,6 +1,6 @@
 """Formula translators between the four signatures.
 
-Four families of rewriting live here:
+Five families of rewriting live here:
 
 * `defeq_translate` — the definitional equivalences between the relational
   order signature (subset / order-between-members) and the two functional
@@ -15,20 +15,23 @@ Four families of rewriting live here:
 * `lci_existential_rewrite` — quantifier-free L(I) formulas become
   existential ones by routing each negated equation through endpoint codes
   and the positive rewriting of W(I).
+* `relativize` — quantifiers of an MO formula are guarded to range over the
+  subsets of a set or the finite sets inside a window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .order import FinSet, IntervalUnion
-from .syntax import (ATOM_TYPES, FO_CONNECTIVES, And, App, Const, Eq, Exists,
-                     Forall, Formula, FreshVars, Implies, LtEAtom, Not, Or,
-                     SignatureError, Signature, SubsetAtom, Term, Var,
-                     all_vars, and_all, formula_ops, is_positive_existential,
-                     is_quantifier_free, map_children, or_all,
+from .syntax import (ATOM_TYPES, FO_CONNECTIVES, And, App, Const, Eq,
+                     EvalError, Exists, Forall, Formula, FreshVars, Implies,
+                     LtEAtom, Not, Or, SignatureError, Signature, SubsetAtom,
+                     Term, Var, all_vars, and_all, formula_ops,
+                     innermost_app, is_positive_existential,
+                     is_quantifier_free, map_atoms, map_children, or_all,
                      replace_subterm, substitute, unnest)
-from .models import EvalError
 
 
 # ---------------------------------------------------------------------------
@@ -116,32 +119,13 @@ def nnf(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Positive existential rewriting over W(I)
 
-def _find_innermost(t: Term, op: str):
-    """Leftmost App with the given op none of whose arguments contains it."""
-    if isinstance(t, App):
-        for a in t.args:
-            found = _find_innermost(a, op)
-            if found is not None:
-                return found
-        if t.op == op:
-            return t
-    return None
-
-
 def _rewrite_terms(f: Formula, rewriter) -> Formula:
     def go_term(t: Term) -> Term:
         if isinstance(t, App):
             return rewriter(App(t.op, tuple(go_term(a) for a in t.args)))
         return t
 
-    def go(g: Formula) -> Formula:
-        if isinstance(g, ATOM_TYPES):
-            return type(g)(go_term(g.left), go_term(g.right))
-        if isinstance(g, FO_CONNECTIVES):
-            return map_children(g, go)
-        raise EvalError(f"cannot rewrite {g!r}")
-
-    return go(f)
+    return map_atoms(f, lambda g: type(g)(go_term(g.left), go_term(g.right)))
 
 
 def _expand_delta(f: Formula) -> Formula:
@@ -165,8 +149,8 @@ def _eliminate_setminus(f: Formula, fresh: FreshVars) -> Formula:
     witness is functionally determined, so polarity does not matter)."""
     def literal(g: Formula) -> Formula:
         atom = g.body if isinstance(g, Not) else g
-        target = (_find_innermost(atom.left, "setminus")
-                  or _find_innermost(atom.right, "setminus"))
+        target = (innermost_app(atom.left, "setminus")
+                  or innermost_app(atom.right, "setminus"))
         if target is None:
             return g
         a, b = target.args
@@ -257,21 +241,14 @@ def _end_atom_mo(t: Term, fresh: FreshVars, least: bool) -> Formula:
     return Or(end, And(_no_atoms(fresh), Eq(t, BOT)))
 
 
-def _succ_global(z: Term, zp: Term, fresh: FreshVars) -> Formula:
-    """Atom zp is the immediate successor of atom z in the whole order."""
+def _succ_mo(z: Term, zp: Term, fresh: FreshVars,
+             within: Optional[Term] = None) -> Formula:
+    """Atom zp is the immediate successor of atom z in the whole order, or
+    inside `within` when it is given."""
     w = fresh.fresh("W")
+    inside = [] if within is None else [SubsetAtom(Var(w), within)]
     return And(LtEAtom(z, zp),
-               Not(Exists(w, and_all([at_mo(Var(w), fresh),
-                                      LtEAtom(z, Var(w)),
-                                      LtEAtom(Var(w), zp)]))))
-
-
-def _succ_within(a: Term, z: Term, zp: Term, fresh: FreshVars) -> Formula:
-    """Atom zp is the immediate successor of atom z inside a."""
-    w = fresh.fresh("W")
-    return And(LtEAtom(z, zp),
-               Not(Exists(w, and_all([at_mo(Var(w), fresh),
-                                      SubsetAtom(Var(w), a),
+               Not(Exists(w, and_all([at_mo(Var(w), fresh), *inside,
                                       LtEAtom(z, Var(w)),
                                       LtEAtom(Var(w), zp)]))))
 
@@ -310,7 +287,7 @@ def _sinv_mo(u: Term, v: Term, fresh: FreshVars) -> Formula:
     zp = fresh.fresh("Z")
     member = Exists(zp, and_all([at_mo(Var(zp), fresh),
                                  SubsetAtom(Var(zp), u),
-                                 _succ_global(Var(z), Var(zp), fresh)]))
+                                 _succ_mo(Var(z), Var(zp), fresh)]))
     return Forall(z, Implies(at_mo(Var(z), fresh),
                              And(Implies(SubsetAtom(Var(z), v), member),
                                  Implies(member, SubsetAtom(Var(z), v)))))
@@ -324,7 +301,7 @@ def _msinv_mo(u1: Term, u2: Term, v: Term, fresh: FreshVars) -> Formula:
                  Exists(zp, and_all([at_mo(Var(zp), fresh),
                                      SubsetAtom(Var(zp), u1),
                                      SubsetAtom(Var(zp), u2),
-                                     _succ_within(u1, Var(z), Var(zp), fresh)])))
+                                     _succ_mo(Var(z), Var(zp), fresh, u1)])))
     return Forall(z, Implies(at_mo(Var(z), fresh),
                              And(Implies(SubsetAtom(Var(z), v), member),
                                  Implies(member, SubsetAtom(Var(z), v)))))
@@ -365,25 +342,21 @@ def _lte_to_wso(x: Term, y: Term) -> Formula:
 
 
 def _mo_to_functional(f: Formula, dst: str, fresh: FreshVars) -> Formula:
-    def go(g: Formula) -> Formula:
-        if isinstance(g, Eq):
-            return g
+    def atom(g: Formula) -> Formula:
         if isinstance(g, SubsetAtom):
             return _subset_eq(g.left, g.right)
         if isinstance(g, LtEAtom):
             if dst == "wso":
                 return _lte_to_wso(g.left, g.right)
             return _lte_to_msofin(g.left, g.right, fresh)
-        if isinstance(g, FO_CONNECTIVES):
-            return map_children(g, go)
-        raise EvalError(f"not a relational-signature formula: {g!r}")
+        return g
 
-    return go(f)
+    return map_atoms(f, atom)
 
 
-def _functional_atom_to_mo(g: Eq, src: str, fresh: FreshVars) -> Formula:
+def _functional_atom_to_mo(g: Formula, src: str, fresh: FreshVars) -> Formula:
     if not isinstance(g, Eq):
-        raise EvalError(f"functional signatures have equational atoms, got {g!r}")
+        raise EvalError(f"relational atom {g!r} not part of {src}")
     app, other = None, None
     if isinstance(g.left, App):
         app, other = g.left, g.right
@@ -425,18 +398,8 @@ def _functional_atom_to_mo(g: Eq, src: str, fresh: FreshVars) -> Formula:
 
 
 def _functional_to_mo(f: Formula, src: str, fresh: FreshVars) -> Formula:
-    f = unnest(f, fresh)
-
-    def go(g: Formula) -> Formula:
-        if isinstance(g, Eq):
-            return _functional_atom_to_mo(g, src, fresh)
-        if isinstance(g, (SubsetAtom, LtEAtom)):
-            raise EvalError(f"relational atom {g!r} not part of {src}")
-        if isinstance(g, FO_CONNECTIVES):
-            return map_children(g, go)
-        raise EvalError(f"not a formula over {src}: {g!r}")
-
-    return go(f)
+    return map_atoms(unnest(f, fresh),
+                     lambda g: _functional_atom_to_mo(g, src, fresh))
 
 
 def defeq_translate(f: Formula, src, dst) -> Formula:
@@ -449,6 +412,63 @@ def defeq_translate(f: Formula, src, dst) -> Formula:
     if src in ("msofin", "wso") and dst == "mo":
         return _functional_to_mo(f, src, fresh)
     raise SignatureError(f"no definitional translation {src} -> {dst}")
+
+
+# ---------------------------------------------------------------------------
+# Relativisation
+
+def relativize(f: Formula, mode) -> Formula:
+    """Quantifier relativisation of an MO formula.
+
+    mode = ("element", Y): restriction to the subsets of Y; quantifiers are
+    guarded with X being a subset of Y.
+
+    mode = ("interval", I, J): restriction to finite sets inside the window
+    [i, j), where I and J are atom-valued variables naming the endpoints;
+    quantifiers are guarded by every atom of X lying in the window.
+    """
+    kind = mode[0]
+    params = mode[1:]
+    fresh = FreshVars(all_vars(f) | set(params))
+    for name in set(params) & all_vars(f):
+        # the guard variables must be fresh for f; rename bound uses
+        f = _rename_bound(f, name, fresh.fresh(name))
+
+    if kind == "element":
+        yvar = params[0]
+
+        def guard(x: str) -> Formula:
+            return SubsetAtom(Var(x), Var(yvar))
+    elif kind == "interval":
+        ivar, jvar = params
+
+        def guard(x: str) -> Formula:
+            z = fresh.fresh("Z")
+            window = And(Or(LtEAtom(Var(ivar), Var(z)), Eq(Var(ivar), Var(z))),
+                         LtEAtom(Var(z), Var(jvar)))
+            return Forall(z, Implies(And(at_mo(Var(z), fresh),
+                                         SubsetAtom(Var(z), Var(x))),
+                                     window))
+    else:
+        raise ValueError(f"unknown relativisation mode {kind!r}")
+
+    def quantifier(q: Formula, go) -> Formula:
+        # the guard draws its fresh names before the body is relativized
+        if isinstance(q, Exists):
+            return Exists(q.var, And(guard(q.var), go(q.body)))
+        return Forall(q.var, Implies(guard(q.var), go(q.body)))
+
+    return map_atoms(f, lambda g: g, quantifier)
+
+
+def _rename_bound(f: Formula, old: str, new: str) -> Formula:
+    def quantifier(q: Formula, go) -> Formula:
+        body = go(q.body)
+        if q.var != old:
+            return type(q)(q.var, body)
+        return type(q)(new, substitute(body, {old: Var(new)}))
+
+    return map_atoms(f, lambda g: g, quantifier)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +519,7 @@ def w_in_l_translate(f: Formula) -> Formula:
     fresh = FreshVars(all_vars(f))
     f = unnest(f, fresh)
 
-    def atom(g: Eq) -> Formula:
+    def atom(g: Formula) -> Formula:
         if not isinstance(g, Eq):
             raise EvalError(f"W(I) formulas have equational atoms, got {g!r}")
         for side, other in ((g.left, g.right), (g.right, g.left)):
@@ -512,19 +532,13 @@ def w_in_l_translate(f: Formula) -> Formula:
                     "quantifier-free input is positivised before translation")
         return g
 
-    def go(g: Formula) -> Formula:
-        if isinstance(g, Eq):
-            return atom(g)
-        if isinstance(g, (Not, And, Or, Implies)):
-            return map_children(g, go)
-        if isinstance(g, Exists):
-            return Exists(g.var, And(finite_set_formula(Var(g.var)), go(g.body)))
-        if isinstance(g, Forall):
-            return Forall(g.var, Implies(finite_set_formula(Var(g.var)),
-                                         go(g.body)))
-        raise EvalError(f"not a W(I) formula: {g!r}")
+    def quantifier(q: Formula, go) -> Formula:
+        finite = finite_set_formula(Var(q.var))
+        if isinstance(q, Exists):
+            return Exists(q.var, And(finite, go(q.body)))
+        return Forall(q.var, Implies(finite, go(q.body)))
 
-    return go(f)
+    return map_atoms(f, atom, quantifier)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +614,7 @@ def _boundary(xl: Term, xr: Term) -> Term:
     return _union(xl, xr)
 
 
-def phi_mem(xl: Term, xr: Term, z: Term, fresh: FreshVars) -> Formula:
+def phi_mem(xl: Term, xr: Term, z: Term) -> Formula:
     """Membership of the singleton z in the interval union coded by
     (xl, xr), expressed over W(I) with the difference extension."""
     bdr = _boundary(xl, xr)
@@ -613,7 +627,7 @@ def phi_mem(xl: Term, xr: Term, z: Term, fresh: FreshVars) -> Formula:
                or_all([_subset_eq(z, bdr), between, tail]))
 
 
-def at_formula(t: Term, fresh: FreshVars) -> Formula:
+def at_formula(t: Term) -> Formula:
     """t is a singleton: nonempty and equal to its own minimum."""
     return And(_nonempty(t), Eq(t, _min(t)))
 
@@ -623,12 +637,12 @@ def phi_subset(xl: Term, xr: Term, yl: Term, yr: Term,
     """Inclusion of coded interval unions: every singleton member of the
     first is a member of the second."""
     z = fresh.fresh("Z")
-    return Forall(z, Implies(at_formula(Var(z), fresh),
-                             Implies(phi_mem(xl, xr, Var(z), fresh),
-                                     phi_mem(yl, yr, Var(z), fresh))))
+    return Forall(z, Implies(at_formula(Var(z)),
+                             Implies(phi_mem(xl, xr, Var(z)),
+                                     phi_mem(yl, yr, Var(z)))))
 
 
-def code_domain_formula(b: Term, c: Term, fresh: FreshVars) -> Formula:
+def code_domain_formula(b: Term, c: Term) -> Formula:
     """The endpoint-code realizability condition as a W(I) formula."""
     both = _union(b, c)
     b_only = App("setminus", (b, c))
@@ -641,13 +655,12 @@ def code_domain_formula(b: Term, c: Term, fresh: FreshVars) -> Formula:
                     Or(bounded, unbounded)])
 
 
-def code_ok_formula(b: Term, c: Term, fresh: FreshVars) -> Formula:
+def code_ok_formula(b: Term, c: Term) -> Formula:
     """(b, c) is the code of some interval union, the empty one included."""
-    return Or(And(Eq(b, BOT), Eq(c, BOT)), code_domain_formula(b, c, fresh))
+    return Or(And(Eq(b, BOT), Eq(c, BOT)), code_domain_formula(b, c))
 
 
-def _max_code_formula(xl: Term, xr: Term, zl: Term, zr: Term,
-                      fresh: FreshVars) -> Formula:
+def _max_code_formula(xl: Term, xr: Term, zl: Term, zr: Term) -> Formula:
     """Graph of max on codes: bot for empty or unbounded input, else the
     singleton on the largest endpoint."""
     bdr = _boundary(xl, xr)
@@ -687,15 +700,19 @@ def l_in_w_translate(f: Formula) -> Formula:
         yl, yr = _code_terms(y)
         zl, zr = _code_terms(z)
         w = fresh.fresh("Z")
-        in_x = phi_mem(xl, xr, Var(w), fresh)
-        in_y = phi_mem(yl, yr, Var(w), fresh)
-        in_z = phi_mem(zl, zr, Var(w), fresh)
+        in_x = phi_mem(xl, xr, Var(w))
+        in_y = phi_mem(yl, yr, Var(w))
+        in_z = phi_mem(zl, zr, Var(w))
         combo = Or(in_x, in_y) if op == "union" else And(in_x, in_y)
-        return Forall(w, Implies(at_formula(Var(w), fresh),
+        return Forall(w, Implies(at_formula(Var(w)),
                                  And(Implies(in_z, combo),
                                      Implies(combo, in_z))))
 
-    def atom(g: Eq) -> Formula:
+    def atom(g: Formula) -> Formula:
+        if isinstance(g, SubsetAtom):
+            xl, xr = _code_terms(g.left)
+            yl, yr = _code_terms(g.right)
+            return phi_subset(xl, xr, yl, yr, fresh)
         if not isinstance(g, Eq):
             raise EvalError(f"L(I) formulas have equational atoms, got {g!r}")
         app, other = None, None
@@ -721,33 +738,23 @@ def l_in_w_translate(f: Formula) -> Formula:
                          And(Eq(zl, _min(xl)), Eq(zr, _min(xl))))
             return Or(empty, proper)
         if app.op == "max":
-            return _max_code_formula(xl, xr, zl, zr, fresh)
+            return _max_code_formula(xl, xr, zl, zr)
         raise EvalError(f"function {app.op!r} not part of L(I)")
 
-    def go(g: Formula) -> Formula:
-        if isinstance(g, Eq):
-            return atom(g)
-        if isinstance(g, SubsetAtom):
-            xl, xr = _code_terms(g.left)
-            yl, yr = _code_terms(g.right)
-            return phi_subset(xl, xr, yl, yr, fresh)
-        if isinstance(g, (Not, And, Or, Implies)):
-            return map_children(g, go)
-        if isinstance(g, (Exists, Forall)):
-            l, r = _pair_names(g.var)
-            guard = code_ok_formula(Var(l), Var(r), fresh)
-            if isinstance(g, Exists):
-                return Exists(l, Exists(r, And(guard, go(g.body))))
-            return Forall(l, Forall(r, Implies(guard, go(g.body))))
-        raise EvalError(f"not an L(I) formula: {g!r}")
+    def quantifier(q: Formula, go) -> Formula:
+        l, r = _pair_names(q.var)
+        guard = code_ok_formula(Var(l), Var(r))
+        if isinstance(q, Exists):
+            return Exists(l, Exists(r, And(guard, go(q.body))))
+        return Forall(l, Forall(r, Implies(guard, go(q.body))))
 
-    return go(f)
+    return map_atoms(f, atom, quantifier)
 
 
 # ---------------------------------------------------------------------------
 # Existential rewriting for quantifier-free L(I) formulas
 
-def _neq_template(fresh: FreshVars) -> Formula:
+def _neq_template() -> Formula:
     """Existential L(I) formula in variables Uneq, Vneq expressing that two
     finite sets differ, via positive W(I) rewriting of the inequation."""
     base = Not(Eq(Var("Uneq"), Var("Vneq")))
@@ -759,8 +766,7 @@ def lci_existential_rewrite(f: Formula) -> Formula:
     """Existential equivalent over L(I) of a quantifier-free formula: positive
     atoms pass through, and each negated equation becomes the statement that
     the endpoint codes differ, routed through the positive W(I) rewriting."""
-    fresh = FreshVars(all_vars(f) | {"Uneq", "Vneq"})
-    template = _neq_template(fresh)
+    template = _neq_template()
 
     def differ(s: Term, t: Term) -> Formula:
         return substitute(template, {"Uneq": s, "Vneq": t})

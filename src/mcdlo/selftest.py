@@ -180,9 +180,7 @@ def suite_parse_print_roundtrip() -> SuiteResult:
 def suite_membership_formula() -> SuiteResult:
     """The coded-membership formula matches interval-union membership."""
     from .rewriting import phi_mem
-    from .syntax import FreshVars
-    fresh = FreshVars({"Xl", "Xr", "Z"})
-    f = phi_mem(Var("Xl"), Var("Xr"), Var("Z"), fresh)
+    f = phi_mem(Var("Xl"), Var("Xr"), Var("Z"))
     failures = cases = 0
     for u in enumerate_interval_unions(POOL3, include_end=True):
         if u.is_empty():

@@ -1,5 +1,5 @@
 """Quantifier evaluation: exact brute force on finite powerset structures and
-budgeted grid semantics on W(I) / L(I), plus relativisation transformers.
+budgeted grid semantics on W(I) / L(I).
 
 The grid semantics is a witness-search procedure: quantified set variables
 range over subsets of a finite grid grown from the assignment's points (W),
@@ -31,13 +31,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .order import FinSet, IntervalUnion, check_point
-from .syntax import (ATOM_TYPES, FO_CONNECTIVES, And, App, Eq, Exists,
-                     ExistsPartition, Forall, FreshVars, Formula, Implies,
-                     LtEAtom, Not, Or, SubsetAtom, Term, Var, all_vars,
-                     and_all, conjuncts, free_vars, map_children, substitute,
-                     term_vars)
+from .syntax import (And, App, Eq, Exists, ExistsPartition, Forall, Formula,
+                     Implies, LtEAtom, Not, Or, SubsetAtom, Term, Var,
+                     and_all, conjuncts, free_vars, term_vars)
 from .models import EvalError, MsoFin
-from .rewriting import at_mo
 
 DEFAULT_GRID_CAP = 14
 DEFAULT_MSOFIN_CAP = 16
@@ -397,12 +394,11 @@ class BruteForceEvaluator(_MaskEvaluator):
         return False
 
 
-def bruteforce_eval(m: MsoFin, f: Formula, assignment: Optional[dict] = None,
-                    cap: int = DEFAULT_MSOFIN_CAP,
-                    constants: Optional[dict] = None) -> bool:
+def bruteforce_eval(m: MsoFin, f: Formula,
+                    assignment: Optional[dict] = None) -> bool:
     """Exact truth of f in MSO(n); assignment maps variables to frozensets of
     ints (or bitmask ints)."""
-    ev = BruteForceEvaluator(m.n, cap=cap, constants=constants)
+    ev = BruteForceEvaluator(m.n)
     return ev.formula(f, ev.masks(assignment))
 
 
@@ -609,65 +605,3 @@ def stabilize(kind: str, f: Formula, assignment: Optional[dict] = None,
         if v(k) == v(k + 1):
             return EvalReport(verdict=v(k), budget_used=k, stabilized=True)
     return EvalReport(verdict=v(kmax), budget_used=kmax, stabilized=False)
-
-
-# ---------------------------------------------------------------------------
-# Relativisation
-
-def relativize(f: Formula, mode, fresh: Optional[FreshVars] = None) -> Formula:
-    """Quantifier relativisation of an MO formula.
-
-    mode = ("element", Y): restriction to the subsets of Y; quantifiers are
-    guarded with X being a subset of Y.
-
-    mode = ("interval", I, J): restriction to finite sets inside the window
-    [i, j), where I and J are atom-valued variables naming the endpoints;
-    quantifiers are guarded by every atom of X lying in the window.
-    """
-    kind = mode[0]
-    params = mode[1:]
-    if fresh is None:
-        fresh = FreshVars(all_vars(f) | set(params))
-    clash = set(params) & all_vars(f)
-    if clash:
-        for name in clash:
-            # the guard variables must be fresh for f; rename bound uses
-            f = _rename_bound(f, name, fresh.fresh(name))
-
-    if kind == "element":
-        yvar = params[0]
-
-        def guard(x: str) -> Formula:
-            return SubsetAtom(Var(x), Var(yvar))
-    elif kind == "interval":
-        ivar, jvar = params
-
-        def guard(x: str) -> Formula:
-            z = fresh.fresh("Z")
-            window = And(Or(LtEAtom(Var(ivar), Var(z)), Eq(Var(ivar), Var(z))),
-                         LtEAtom(Var(z), Var(jvar)))
-            return Forall(z, Implies(And(at_mo(Var(z), fresh),
-                                         SubsetAtom(Var(z), Var(x))),
-                                     window))
-    else:
-        raise ValueError(f"unknown relativisation mode {kind!r}")
-
-    def go(g: Formula) -> Formula:
-        if isinstance(g, Exists):
-            return Exists(g.var, And(guard(g.var), go(g.body)))
-        if isinstance(g, Forall):
-            return Forall(g.var, Implies(guard(g.var), go(g.body)))
-        if isinstance(g, ATOM_TYPES + (Not, And, Or, Implies)):
-            return map_children(g, go)
-        raise EvalError(f"cannot relativize {g!r}")
-
-    return go(f)
-
-
-def _rename_bound(f: Formula, old: str, new: str) -> Formula:
-    if isinstance(f, (Exists, Forall)) and f.var == old:
-        body = _rename_bound(f.body, old, new)
-        return type(f)(new, substitute(body, {old: Var(new)}))
-    if isinstance(f, ATOM_TYPES + FO_CONNECTIVES):
-        return map_children(f, lambda g: _rename_bound(g, old, new))
-    raise EvalError(f"cannot rename in {f!r}")

@@ -24,6 +24,10 @@ class SignatureError(ValueError):
     pass
 
 
+class EvalError(ValueError):
+    """A formula outside what an evaluator or translator accepts."""
+
+
 # ---------------------------------------------------------------------------
 # Terms
 
@@ -189,6 +193,26 @@ def map_children(f: Formula, go) -> Formula:
     if shape == _LEAF:
         return f
     raise TypeError(f"not a formula: {f!r}")
+
+
+def map_atoms(f: Formula, atom, quantifier=None) -> Formula:
+    """f with each atom replaced by atom(a), rebuilt through the first-order
+    connectives, left before right.  Given `quantifier`, each Exists/Forall
+    node q becomes quantifier(q, go), where go is this walk, so the hook
+    decides what it builds before the body is mapped.  A power atom or a
+    partition quantifier raises EvalError."""
+
+    def go(g: Formula) -> Formula:
+        kind = type(g)
+        if kind in ATOM_TYPES:
+            return atom(g)
+        if quantifier is not None and (kind is Exists or kind is Forall):
+            return quantifier(g, go)
+        if kind in FO_CONNECTIVES:
+            return map_children(g, go)
+        raise EvalError(f"not a first-order formula: {g!r}")
+
+    return go(f)
 
 
 def subformulas(f: Formula):
@@ -412,12 +436,6 @@ def _write(node, out: list) -> None:
     out.append(")")
 
 
-def print_term(t: Term) -> str:
-    out: list = []
-    _write(t, out)
-    return "".join(out)
-
-
 def print_formula(f: Formula) -> str:
     if type(f) not in _SHAPE:
         raise TypeError(f"not a formula: {f!r}")
@@ -570,14 +588,16 @@ def atom_is_unnested(f: Formula) -> bool:
     return _app_count(f.left) + _app_count(f.right) <= 1
 
 
-def _innermost_app(t: Term):
-    """Leftmost App subterm all of whose arguments are leaves, or None."""
+def innermost_app(t: Term, op: Optional[str] = None):
+    """Leftmost App subterm (with the given op, if one is given) none of whose
+    arguments contains such an App, or None."""
     if isinstance(t, App):
         for a in t.args:
-            found = _innermost_app(a)
+            found = innermost_app(a, op)
             if found is not None:
                 return found
-        return t
+        if op is None or t.op == op:
+            return t
     return None
 
 
@@ -598,10 +618,10 @@ def unnest_atom(f: Formula, fresh: FreshVars) -> Formula:
     while _app_count(left) + _app_count(right) > 1:
         if _app_count(left) > 1 or (_app_count(left) == 1 and _app_count(right) >= 1):
             side = "left"
-            inner = _innermost_app(left)
+            inner = innermost_app(left)
         else:
             side = "right"
-            inner = _innermost_app(right)
+            inner = innermost_app(right)
         name = fresh.fresh("U")
         hoisted.append((name, inner))
         if side == "left":
@@ -614,11 +634,10 @@ def unnest_atom(f: Formula, fresh: FreshVars) -> Formula:
     return core
 
 
-def unnest(f: Formula, fresh: Optional[FreshVars] = None) -> Formula:
+def unnest(f: Formula, fresh: FreshVars) -> Formula:
     """Equivalent formula in which every atomic subformula holds at most one
-    function symbol, the rest being variables and constants."""
-    if fresh is None:
-        fresh = FreshVars(all_vars(f))
+    function symbol, the rest being variables and constants; auxiliaries are
+    named by `fresh`."""
 
     def go(g: Formula) -> Formula:
         if isinstance(g, ATOM_TYPES):

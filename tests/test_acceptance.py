@@ -21,8 +21,9 @@ from mcdlo.models import (ElementRestriction, LciStructure, MsoFin,
                           WsoStructure, eval_atomic, eval_qf, restrict)
 from mcdlo.order import FinSet, IntervalUnion, enumerate_interval_unions
 from mcdlo.rewriting import (code_domain, defeq_translate, phi_mem,
-                             phi_subset, qf_positive_rewrite, is_positive_wso)
-from mcdlo.semantics import bruteforce_eval, grid_eval, relativize, stabilize
+                             phi_subset, qf_positive_rewrite, is_positive_wso,
+                             relativize)
+from mcdlo.semantics import bruteforce_eval, grid_eval, stabilize
 from mcdlo.syntax import (And, App, Const, Eq, Exists, Forall, FreshVars,
                           LtEAtom, Not, Or, RAtom, SIGNATURES, SubsetAtom,
                           Var, free_vars, parse, print_formula)
@@ -143,7 +144,7 @@ def test_criterion_04_membership_and_inclusion_formulas():
     t0 = time.time()
     corpus = enumerate_interval_unions(POOL4, include_end=True)
     fresh = FreshVars({"Xl", "Xr", "Yl", "Yr", "Z"})
-    mem = phi_mem(Var("Xl"), Var("Xr"), Var("Z"), fresh)
+    mem = phi_mem(Var("Xl"), Var("Xr"), Var("Z"))
     failures = cases = 0
     for u in corpus:
         if u.is_empty():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcdlo.fefvau import (DEFAULT_THETA_CAP, AcceptableSequence, PowerElement,
+from mcdlo.fefvau import (AcceptableSequence, PowerElement,
                           PowerStructure, ThetaOverflowError, atomic_sequences,
                           constant_sequence, decompose, drop_dead_blocks,
                           funky, fv_reduce, reassemble, support,
@@ -260,8 +260,7 @@ def test_three_parameter_psi_agrees_with_stabilize():
     for text in PARAM_CORPUS_3:
         phi = parse(text, MO)
         params = tuple(sorted(free_vars(phi)))
-        out = translate_with_parameters(phi, params,
-                                        theta_cap=DEFAULT_THETA_CAP)
+        out = translate_with_parameters(phi, params)
         assert out.stabilized
         assert dead_guards(out.psi) == []
         for values in itertools.product(subs, repeat=len(params)):

@@ -14,9 +14,9 @@ from mcdlo.rewriting import (CodePair, code_domain, code_to_interval_union,
                              l_in_w_translate, lci_existential_rewrite, nnf,
                              notbot_formula,
                              phi_mem, phi_subset, qf_positive_rewrite,
-                             w_in_l_translate)
-from mcdlo.semantics import bruteforce_eval, relativize, stabilize
-from mcdlo.syntax import (And, App, Const, Eq, FreshVars, Not, Or,
+                             relativize, w_in_l_translate)
+from mcdlo.semantics import bruteforce_eval, stabilize
+from mcdlo.syntax import (And, App, Const, Eq, Not, Or,
                           SIGNATURES, Var, formula_ops, free_vars,
                           is_existential, is_positive_existential, parse,
                           print_formula)
@@ -239,8 +239,7 @@ def test_l_in_w_lattice_atoms_sampled(op):
 
 
 def test_membership_and_inclusion_formulas_spot():
-    fresh = FreshVars({"Xl", "Xr", "Yl", "Yr"})
-    mem = phi_mem(Var("Xl"), Var("Xr"), Var("Z"), fresh)
+    mem = phi_mem(Var("Xl"), Var("Xr"), Var("Z"))
     u = IntervalUnion(((Fraction(0), Fraction(1, 3)), (Fraction(2, 3), None)))
     pair = CodePair.of(u)
     for z, want in [(Fraction(1, 6), True), (Fraction(1, 2), False),

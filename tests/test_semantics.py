@@ -11,10 +11,12 @@ from mcdlo.order import FinSet, IntervalUnion, enumerate_interval_unions
 from mcdlo.semantics import (BruteForceEvaluator, EvalReport, GridCapError,
                              GridLEvaluator, GridWEvaluator, _w_seed_points,
                              bruteforce_eval, grid_eval, make_grid,
-                             relativize, split_block, stabilize)
+                             split_block, stabilize)
+from mcdlo.rewriting import relativize
 from mcdlo.syntax import (ARITY, And, App, Const, Eq, Exists, Forall,
                           Implies, LtEAtom, Not, Or, SIGNATURES, SubsetAtom,
-                          Var, and_all, free_vars, parse)
+                          Var, and_all, free_vars, parse,
+                          print_formula)
 
 from conftest import THREE_ATOMS_MINISCOPED, THREE_ATOMS_PRENEX, subsets_of
 
@@ -506,6 +508,26 @@ def test_relativize_renames_clashing_bound_variable():
     assert isinstance(g, Exists)
     assert g.var != "W"
     assert free_vars(g) == {"W"}
+
+
+def test_relativize_interval_mode_pins_fresh_names():
+    # each guard draws Z then at_mo's W before its body is relativized
+    f = parse("(forall X (exists Y (and (subset Y X) (ltE X Y))))", MO)
+
+    def guard(z, w, x):
+        atom = (f"(and (not (= {z} bot)) (forall {w} (implies (subset {w} {z})"
+                f" (or (= {w} bot) (= {w} {z})))))")
+        return (f"(forall {z} (implies (and {atom} (subset {z} {x}))"
+                f" (and (or (ltE I {z}) (= I {z})) (ltE {z} J))))")
+
+    assert print_formula(relativize(f, ("interval", "I", "J"))) == (
+        f"(forall X (implies {guard('Z1', 'W2', 'X')} (exists Y (and "
+        f"{guard('Z3', 'W4', 'Y')} (and (subset Y X) (ltE X Y))))))")
+    # a bound use of a guard variable is renamed before any guard is drawn
+    f = parse("(exists J (forall X (subset X J)))", MO)
+    assert print_formula(relativize(f, ("interval", "I", "J"))) == (
+        f"(exists J1 (and {guard('Z2', 'W3', 'J1')} (forall X (implies "
+        f"{guard('Z4', 'W5', 'X')} (subset X J1)))))")
 
 
 def test_relativized_sentence_truth():

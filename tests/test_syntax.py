@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcdlo.models import MsoFin
+from mcdlo.models import EvalError, MsoFin
 from mcdlo.semantics import bruteforce_eval
 from mcdlo.semantics import BruteForceEvaluator
 from mcdlo.syntax import (And, App, Const, Eq, Exists, ExistsPartition, Forall,
@@ -9,7 +9,8 @@ from mcdlo.syntax import (And, App, Const, Eq, Exists, ExistsPartition, Forall,
                           SIGNATURES, SubsetAtom,
                           SyntaxErrorAt, Var, all_vars, free_vars,
                           is_existential, is_positive_existential,
-                          is_quantifier_free, is_unnested, map_children,
+                          is_quantifier_free, is_unnested, map_atoms,
+                          map_children,
                           parse, print_formula, subformulas, substitute,
                           subterms, unnest)
 
@@ -196,6 +197,47 @@ EVERY_NODE_KIND = [
 @pytest.mark.parametrize("f", EVERY_NODE_KIND, ids=lambda f: type(f).__name__)
 def test_map_children_identity(f):
     assert map_children(f, lambda g: g) == f
+
+
+FIRST_ORDER_KINDS = [f for f in EVERY_NODE_KIND
+                     if not isinstance(f, (RAtom, ExistsPartition))]
+
+
+def _rebuild(q, go):
+    return type(q)(q.var, go(q.body))
+
+
+@pytest.mark.parametrize("f", FIRST_ORDER_KINDS, ids=lambda f: type(f).__name__)
+def test_map_atoms_identity(f):
+    assert map_atoms(f, lambda g: g) == f
+    assert map_atoms(f, lambda g: g, _rebuild) == f
+
+
+@pytest.mark.parametrize("f", [RAtom("seq", ("X",)),
+                               ExistsPartition(("Z",), Eq(Var("Z"), X))],
+                         ids=lambda f: type(f).__name__)
+def test_map_atoms_rejects_power_nodes(f):
+    with pytest.raises(EvalError):
+        map_atoms(f, lambda g: g)
+    with pytest.raises(EvalError):
+        map_atoms(Not(And(Eq(X, Y), f)), lambda g: g, _rebuild)
+
+
+def test_map_atoms_hook_sees_quantifier_before_its_body():
+    seen = []
+
+    def atom(g):
+        seen.append(print_formula(g))
+        return g
+
+    def quantifier(q, go):
+        seen.append(q.var)
+        return _rebuild(q, go)
+
+    f = parse("(exists X (and (= X Y) (forall Y (or (= Y X) (= Y bot)))))",
+              WSO)
+    assert map_atoms(f, atom, quantifier) == f
+    assert seen == ["X", "(= X Y)", "Y", "(= Y X)", "(= Y bot)"]
 
 
 def test_map_children_visits_left_before_right():
