@@ -22,6 +22,7 @@ Five families of rewriting live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from .order import FinSet, IntervalUnion
@@ -430,7 +431,7 @@ def relativize(f: Formula, mode) -> Formula:
     kind = mode[0]
     params = mode[1:]
     fresh = FreshVars(all_vars(f) | set(params))
-    for name in set(params) & all_vars(f):
+    for name in sorted(set(params) & all_vars(f)):
         # the guard variables must be fresh for f; rename bound uses
         f = _rename_bound(f, name, fresh.fresh(name))
 
@@ -754,9 +755,11 @@ def l_in_w_translate(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Existential rewriting for quantifier-free L(I) formulas
 
+@cache
 def _neq_template() -> Formula:
     """Existential L(I) formula in variables Uneq, Vneq expressing that two
-    finite sets differ, via positive W(I) rewriting of the inequation."""
+    finite sets differ, via positive W(I) rewriting of the inequation; built
+    once per process."""
     base = Not(Eq(Var("Uneq"), Var("Vneq")))
     positive = qf_positive_rewrite(base)
     return w_in_l_translate(positive)

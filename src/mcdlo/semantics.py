@@ -4,21 +4,25 @@ budgeted grid semantics on W(I) / L(I).
 The grid semantics is a witness-search procedure: quantified set variables
 range over subsets of a finite grid grown from the assignment's points (W),
 or over canonical interval unions with endpoints in the grid, including
-unbounded variants (L).  The grid of budget k is a tuple of points in
-increasing order: 0 and the assignment's points (the seeds), each followed
-by k mean points that halve the way to the next seed (to 1 after the last).
-Only the order of the grid matters to the search; the rationals serve to
-place the assignment's points in it.  Grid sets, interval unions and the
-subsets of MSO(n) are all bitmasks, and one mask kernel evaluates all three:
-a structure is a constant table (the masks of its constants) and an op
-table (its function symbols as functions on masks), searched by one
-quantifier loop; the value-level structures of `models` stay as exact
-references.  The loop prunes each quantified variable by the conjuncts of
-its quantifier's body; a quantifier block (∃X∃Y… or ∀X∀Y…) is split at its
-first visit so that each conjunct sits under the last block variable it
-mentions.  Verdicts carry a stabilization flag comparing budgets k and k+1;
-stability is a heuristic, evidence but not proof of the true verdict (the
-three-atoms sentence of the tests stabilizes on a wrong false).
+unbounded variants (L).  The grid of budget k (`make_grid`) is a tuple of
+points in increasing order: 0 and the assignment's points (the seeds), each
+followed by k mean points that halve the way to the next seed (to 1 after
+the last).  Only the order of the grid matters to the search, so a query
+builds no grid: it sorts the seeds once, and in the budget-k grid seed j is
+bit j(k+1).  Grid sets, interval unions and the subsets of MSO(n) are all
+bitmasks, and one mask kernel evaluates all three: a structure is a
+constant table (the masks of its constants) and an op table (its function
+symbols as functions on masks), searched by one quantifier loop; the
+value-level structures of `models` stay as exact references.  The loop
+prunes each quantified variable by the conjuncts of its quantifier's body; a
+quantifier block (∃X∃Y… or ∀X∀Y…) is split so that each conjunct sits under
+the last block variable it mentions.  The split and the pruning plan of a
+quantifier depend on the formula alone, so one query (`grid_eval`,
+`stabilize`) analyses each quantifier node once, and the evaluators of all
+its budgets share the analysis.  Verdicts carry a stabilization flag
+comparing budgets k and k+1; stability is a heuristic, evidence but not
+proof of the true verdict (the three-atoms sentence of the tests stabilizes
+on a wrong false).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .order import FinSet, IntervalUnion, check_point
+from .order import ZERO, FinSet, IntervalUnion, check_point
 from .syntax import (And, App, Eq, Exists, ExistsPartition, Forall, Formula,
                      Implies, LtEAtom, Not, Or, SubsetAtom, Term, Var,
                      and_all, conjuncts, free_vars, term_vars)
@@ -67,28 +71,35 @@ class EvalReport:
 # (v contained in t or containing it, v disjoint from t, union with t
 # prescribed).  Reading those constraints off syntactically confines the
 # witness search to an interval of the subset lattice instead of the whole
-# powerset.
+# powerset.  The reading is a plan made once per quantifier node: which
+# conjuncts bound the variable, and how; a visit evaluates its terms only.
 
 
-def _mask_bounds(term_eval, var: str, conjs, env: dict, top: int):
-    """(lower, upper, singleton) constraints every satisfying value of var
-    must respect; singleton means var is empty or a single point."""
-    upper, lower = top, 0
+# the steps of a bounds plan: each names the terms a visit evaluates
+_UPPER, _LOWER, _EMPTY_MEET, _UNION = range(4)
+
+
+def _bounds_plan(var: str, conjs) -> tuple:
+    """(steps, singleton): the lattice bounds the conjuncts put on var, read
+    off once per quantifier node; `_mask_bounds` evaluates the steps' terms.
+    Singleton means var is empty or a single point."""
+    steps = []
     singleton = False
     vt = Var(var)
+    least = App("min", (vt,))
     for c in conjs:
-        if (isinstance(c, Eq)
-                and ((c.left == vt and c.right == App("min", (vt,)))
-                     or (c.right == vt and c.left == App("min", (vt,))))):
+        kind = type(c)
+        if kind is Eq and ((c.left == vt and c.right == least)
+                           or (c.right == vt and c.left == least)):
             singleton = True
-        if (isinstance(c, SubsetAtom) and c.left == vt
+        if (kind is SubsetAtom and c.left == vt
                 and var not in term_vars(c.right)):
-            upper &= term_eval(c.right, env)
+            steps.append((_UPPER, c.right, None))
             continue
-        if not isinstance(c, Eq):
+        if kind is not Eq:
             continue
         for a, b in ((c.left, c.right), (c.right, c.left)):
-            if (not isinstance(a, App) or a.op not in ("inter", "union")
+            if (type(a) is not App or a.op not in ("inter", "union")
                     or vt not in a.args):
                 continue
             other = a.args[0] if a.args[1] == vt else a.args[1]
@@ -96,25 +107,60 @@ def _mask_bounds(term_eval, var: str, conjs, env: dict, top: int):
                 continue
             if a.op == "inter":
                 if b == vt:
-                    upper &= term_eval(other, env)
+                    steps.append((_UPPER, other, None))
                 elif b == other:
-                    lower |= term_eval(other, env)
-                elif var not in term_vars(b) and term_eval(b, env) == 0:
-                    upper &= top & ~term_eval(other, env)
-            elif a.op == "union" and var not in term_vars(b):
-                u = term_eval(b, env)
-                upper &= u
-                lower |= u & ~term_eval(other, env)
-    return lower, upper, singleton
+                    steps.append((_LOWER, other, None))
+                elif var not in term_vars(b):
+                    # b empty: var is disjoint from other
+                    steps.append((_EMPTY_MEET, b, other))
+            elif var not in term_vars(b):
+                steps.append((_UNION, b, other))
+    return tuple(steps), singleton
 
 
-def _quantified_conjuncts(body: Formula, antecedent_only: bool) -> list:
-    """Conjuncts that constrain a quantified variable; for universal
-    quantifiers only the antecedent of an implication may constrain (other
+def _mask_bounds(term, steps, env: dict, top: int) -> tuple:
+    """(lower, upper): the bounds a plan's steps put on every satisfying
+    value, with its terms evaluated in env."""
+    upper, lower = top, 0
+    for code, a, b in steps:
+        if code == _UPPER:
+            upper &= term(a, env)
+        elif code == _LOWER:
+            lower |= term(a, env)
+        elif code == _EMPTY_MEET:
+            if term(a, env) == 0:
+                upper &= top & ~term(b, env)
+        else:
+            u = term(a, env)
+            upper &= u
+            lower |= u & ~term(b, env)
+    return lower, upper
+
+
+def _quantified_conjuncts(q: Formula) -> list:
+    """Conjuncts that constrain a quantified variable; for a universal
+    quantifier only the antecedent of an implication may constrain (other
     values hold vacuously)."""
-    if not antecedent_only:
-        return list(conjuncts(body))
-    return list(conjuncts(body.left)) if isinstance(body, Implies) else []
+    if type(q) is Exists:
+        return list(conjuncts(q.body))
+    return list(conjuncts(q.body.left)) if type(q.body) is Implies else []
+
+
+def _partition_plan(f: ExistsPartition) -> tuple:
+    """(bounded, rest) of a partition quantifier's body: for each block
+    variable Z, its first conjunct (subset Z t) with t free of block
+    variables, as (Z, t); and the other conjuncts."""
+    bset = set(f.block_vars)
+    bounded: dict = {}
+    rest = []
+    for c in conjuncts(f.body):
+        if (type(c) is SubsetAtom and type(c.left) is Var
+                and c.left.name in bset and c.left.name not in bounded
+                and not (term_vars(c.right) & bset)):
+            bounded[c.left.name] = c.right
+        else:
+            rest.append(c)
+    return tuple(bounded.items()), tuple(rest)
 
 
 def _submasks(lower: int, upper: int, singleton: bool):
@@ -199,47 +245,48 @@ def _grid_formula(self, f: Formula, env: dict) -> bool:
     encoding is a lattice embedding whose least set bit is the minimum and
     whose highest one decides the order atom), quantified variables range
     over the evaluator's witness masks, and partition quantifiers go to its
-    partition search.  A quantifier block is split once per evaluator, in its
-    `blocks` dict, keyed by node identity: hashing a node walks its subtree."""
-    if isinstance(f, Eq):
+    partition search.  Each quantifier node is analysed once per `analysed`
+    cache (see `_MaskEvaluator.analyse`)."""
+    kind = type(f)
+    if kind is Eq:
         return self.term(f.left, env) == self.term(f.right, env)
-    if isinstance(f, SubsetAtom):
+    if kind is And:
+        return self.formula(f.left, env) and self.formula(f.right, env)
+    if kind is Not:
+        return not self.formula(f.body, env)
+    if kind is SubsetAtom:
         a, b = self.term(f.left, env), self.term(f.right, env)
         return a | b == b
-    if isinstance(f, LtEAtom):
+    if kind is LtEAtom:
         a, b = self.term(f.left, env), self.term(f.right, env)
         if not a or not b:
             return False
         return (a & -a).bit_length() < b.bit_length()
-    if isinstance(f, Not):
-        return not self.formula(f.body, env)
-    if isinstance(f, And):
-        return self.formula(f.left, env) and self.formula(f.right, env)
-    if isinstance(f, Or):
+    if kind is Or:
         return self.formula(f.left, env) or self.formula(f.right, env)
-    if isinstance(f, Implies):
+    if kind is Implies:
         return (not self.formula(f.left, env)) or self.formula(f.right, env)
-    if isinstance(f, (Exists, Forall)) and type(f.body) is type(f):
-        hit = self.blocks.get(id(f))
+    if kind is Exists or kind is Forall:
+        hit = self.analysed.get(id(f))
         if hit is None or hit[0] is not f:
-            hit = self.blocks[id(f)] = (f, split_block(f))
-        if hit[1] is not f:
-            return self.formula(hit[1], env)
-    if isinstance(f, Exists):
+            hit = self.analyse(f)
+        _, split, plan = hit
+        if split is not None:
+            return self.formula(split, env)
         env = dict(env)
-        for mask in self.witnesses(f.var, f.body, env):
-            env[f.var] = mask
-            if self.formula(f.body, env):
-                return True
-        return False
-    if isinstance(f, Forall):
-        env = dict(env)
-        for mask in self.witnesses(f.var, f.body, env, antecedent_only=True):
-            env[f.var] = mask
-            if not self.formula(f.body, env):
+        var, body, formula = f.var, f.body, self.formula
+        if kind is Exists:
+            for mask in self.witnesses(plan, env):
+                env[var] = mask
+                if formula(body, env):
+                    return True
+            return False
+        for mask in self.witnesses(plan, env):
+            env[var] = mask
+            if not formula(body, env):
                 return False
         return True
-    if isinstance(f, ExistsPartition):
+    if kind is ExistsPartition:
         return self.exists_partition(f, env)
     raise EvalError(f"cannot evaluate {f!r}")
 
@@ -280,8 +327,8 @@ def _msinv(a: int, b: int) -> int:
 
 class _MaskEvaluator:
     """Truth over masks: a subclass supplies `name`, `consts`, `ops`, `full`
-    (the mask of everything) and `encode`, and may replace `witnesses` and
-    `exists_partition`."""
+    (the mask of everything), `encode` and an `analysed` dict, and may
+    replace `plan`, `witnesses` and `exists_partition`."""
 
     def term(self, t: Term, env: dict) -> int:
         kind = type(t)
@@ -306,11 +353,32 @@ class _MaskEvaluator:
             raise EvalError(f"unknown constant {t.name!r} in "
                             f"{self.name}") from None
 
-    def witnesses(self, var: str, body: Formula, env: dict,
-                  antecedent_only: bool = False):
-        """The masks between the lattice bounds the body puts on var."""
-        conjs = _quantified_conjuncts(body, antecedent_only)
-        return _submasks(*_mask_bounds(self.term, var, conjs, env, self.full))
+    def analyse(self, q: Formula) -> tuple:
+        """(q, split, plan) for a quantifier node, stored in `analysed` under
+        q's identity (hashing a node walks its subtree): a block whose split
+        moves a conjunct gets the split and no plan, any other quantifier
+        its pruning plan and no split.  The dict may be shared by the
+        evaluators of every budget of one query, since none of this depends
+        on the grid."""
+        if type(q) is ExistsPartition:
+            entry = (q, None, _partition_plan(q))
+        else:
+            split = split_block(q) if type(q.body) is type(q) else q
+            entry = ((q, split, None) if split is not q
+                     else (q, None, self.plan(q)))
+        self.analysed[id(q)] = entry
+        return entry
+
+    def plan(self, q: Formula):
+        """The pruning plan of quantifier node q."""
+        return _bounds_plan(q.var, _quantified_conjuncts(q))
+
+    def witnesses(self, plan, env: dict):
+        """The masks between the lattice bounds the plan puts on its
+        variable."""
+        steps, singleton = plan
+        lower, upper = _mask_bounds(self.term, steps, env, self.full)
+        return _submasks(lower, upper, singleton)
 
     def exists_partition(self, f: ExistsPartition, env: dict) -> bool:
         raise EvalError(f"cannot evaluate {f!r} on the grid")
@@ -347,7 +415,7 @@ class BruteForceEvaluator(_MaskEvaluator):
                        **self.masks(constants)}
         self.ops = {**_BOOLEAN_OPS, "compl": lambda a: full & ~a,
                     "sinv": lambda a: a >> 1}
-        self.blocks: dict = {}
+        self.analysed: dict = {}
 
     encode = _point_mask
 
@@ -361,35 +429,35 @@ class BruteForceEvaluator(_MaskEvaluator):
     def exists_partition(self, f: ExistsPartition, env: dict) -> bool:
         """Search for a labelling of index points by blocks.  Top-level
         conjuncts of shape (subset Z t), with Z a block variable and t free of
-        block variables, prune the per-point block choices."""
+        block variables, prune the per-point block choices; the body is split
+        into those bounds and the rest once per node (`analyse`)."""
+        hit = self.analysed.get(id(f))
+        if hit is None or hit[0] is not f:
+            hit = self.analyse(f)
+        bounded, rest = hit[2]
         blocks = f.block_vars
-        bset = set(blocks)
-        bounds: dict[str, int] = {}
-        rest: list[Formula] = []
-
-        for c in conjuncts(f.body):
-            if (isinstance(c, SubsetAtom) and isinstance(c.left, Var)
-                    and c.left.name in bset and c.left.name not in bounds
-                    and not (term_vars(c.right) & bset)):
-                bounds[c.left.name] = self.term(c.right, env)
-            else:
-                rest.append(c)
+        bounds = {z: self.term(t, env) for z, t in bounded}
 
         allowed_per_point = []
         for i in range(self.n):
-            allowed = [z for z in blocks
-                       if z not in bounds or bounds[z] >> i & 1]
+            bit = 1 << i
+            allowed = [(z, bit) for z in blocks
+                       if z not in bounds or bounds[z] & bit]
             if not allowed:
                 return False
             allowed_per_point.append(allowed)
 
         env = dict(env)
+        formula = self.formula
         for labelling in itertools.product(*allowed_per_point):
             for z in blocks:
                 env[z] = 0
-            for i, z in enumerate(labelling):
-                env[z] |= 1 << i
-            if all(self.formula(c, env) for c in rest):
+            for z, bit in labelling:
+                env[z] |= bit
+            for c in rest:
+                if not formula(c, env):
+                    break
+            else:
                 return True
         return False
 
@@ -405,19 +473,31 @@ def bruteforce_eval(m: MsoFin, f: Formula,
 # ---------------------------------------------------------------------------
 # Grids
 
+def _sorted_seeds(seed_points) -> list:
+    """0 and the seed points in increasing order, each once; all of them
+    must lie in [0, 1)."""
+    seeds = sorted({ZERO, *seed_points})
+    if len(seeds) > 1:
+        check_point(seeds[0])
+        check_point(seeds[-1])
+    return seeds
+
+
+def _check_size(seed_count: int, budget: int, limit: int) -> None:
+    size = seed_count * (budget + 1)
+    if size > limit:
+        raise GridCapError(f"grid of {size} points exceeds cap {limit}")
+
+
 def make_grid(seed_points, budget: int, cap: Optional[int] = None) -> tuple:
     """The grid of a budget, in increasing order: 0 and each seed, each
     followed by `budget` points that halve the way to the next seed (to 1
-    after the greatest)."""
+    after the greatest).  Seed j is point j(budget+1): the bit the grid
+    evaluators give it, so a query needs the sorted seeds only."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    seeds = sorted({Fraction(0), *seed_points})
-    check_point(seeds[0])
-    check_point(seeds[-1])
-    size = len(seeds) * (budget + 1)
-    limit = grid_cap() if cap is None else cap
-    if size > limit:
-        raise GridCapError(f"grid of {size} points exceeds cap {limit}")
+    seeds = _sorted_seeds(seed_points)
+    _check_size(len(seeds), budget, grid_cap() if cap is None else cap)
     grid = []
     for a, b in zip(seeds, seeds[1:] + [Fraction(1)]):
         grid.append(a)
@@ -441,22 +521,32 @@ def _w_seed_points(assignment: dict) -> set:
     return pts
 
 
+def _grid_index(points: Sequence[Fraction], budget: int) -> tuple:
+    """(index, size) of the grid an evaluator searches: `points` is the
+    whole grid in increasing order (budget 0), or the sorted seeds of the
+    budget-k grid, where seed j is point j(k+1).  index maps each given
+    point to its position; size is the number of grid points."""
+    step = budget + 1
+    return {p: i * step for i, p in enumerate(points)}, len(points) * step
+
+
 # ---------------------------------------------------------------------------
 # Grid evaluation on W(I)
 
 class GridWEvaluator(_MaskEvaluator):
     """Subsets of the grid (its points in increasing order) as bitmasks,
-    bit i the i-th grid point."""
+    bit i the i-th grid point.  `analysed` may be shared by the evaluators
+    of one query."""
 
     name = "W(I)"
     consts = _GRID_CONSTS
     ops = {**_BOOLEAN_OPS, "min": _least, "max": _greatest, "msinv": _msinv}
 
-    def __init__(self, grid: Sequence[Fraction]):
-        self.index = {p: i for i, p in enumerate(grid)}
-        self.size = len(grid)
+    def __init__(self, points: Sequence[Fraction], budget: int = 0,
+                 analysed: Optional[dict] = None):
+        self.index, self.size = _grid_index(points, budget)
         self.full = (1 << self.size) - 1
-        self.blocks: dict = {}
+        self.analysed = {} if analysed is None else analysed
 
     encode = _point_mask
 
@@ -470,14 +560,15 @@ class GridLEvaluator(_MaskEvaluator):
     """Interval unions with endpoints in the grid as cell masks: bit 2i is
     grid point i, bit 2i+1 the open gap above it; the last gap is the
     unbounded tail.  A gap bit is set only with the points around it (the
-    tail only with the last point)."""
+    tail only with the last point).  The grid is given as for
+    `GridWEvaluator`."""
 
     name = "L(I)"
     consts = _GRID_CONSTS
 
-    def __init__(self, grid: Sequence[Fraction]):
-        self.index = {p: i for i, p in enumerate(grid)}
-        self.size = len(grid)
+    def __init__(self, points: Sequence[Fraction], budget: int = 0,
+                 analysed: Optional[dict] = None):
+        self.index, self.size = _grid_index(points, budget)
         self.full = (1 << 2 * self.size) - 1
         points = self.points = self.full // 3  # the even bits
         tail = self.tail = 1 << 2 * self.size - 1
@@ -485,7 +576,7 @@ class GridLEvaluator(_MaskEvaluator):
                     "max": lambda a: 0 if a & tail else _greatest(a),
                     "l": lambda a: a & points & ~(a << 1),
                     "r": lambda a: a & points & ~(a >> 1)}
-        self.blocks: dict = {}
+        self.analysed = {} if analysed is None else analysed
 
     def encode(self, u: IntervalUnion) -> int:
         mask = 0
@@ -525,35 +616,51 @@ class GridLEvaluator(_MaskEvaluator):
             return (mask,)
         return ()
 
-    def witnesses(self, var: str, body: Formula, env: dict,
-                  antecedent_only: bool = False):
-        """Masks for a quantified variable: the one an equation fixes, the
-        one its left and right endpoints fix together, else the valid masks
-        within its lattice bounds (empty or unbounded when its maximum is
-        empty)."""
-        conjs = _quantified_conjuncts(body, antecedent_only)
+    def plan(self, q: Formula) -> tuple:
+        """(fixes, bounds): the equations that fix q's variable or its
+        endpoints or empty maximum, as (op, term) in order ("=" fixes the
+        variable itself and ends the list), and the lattice-bounds plan,
+        None after a "="."""
+        conjs = _quantified_conjuncts(q)
+        var = q.var
         vt = Var(var)
-        lefts = rights = None
-        unbounded = False
+        fixes = []
         for c in conjs:
-            if not isinstance(c, Eq):
+            if type(c) is not Eq:
                 continue
             for a, b in ((c.left, c.right), (c.right, c.left)):
                 if var in term_vars(b):
                     continue
                 if a == vt:
-                    return (self.term(b, env),)
-                if isinstance(a, App) and a.args == (vt,):
-                    if a.op == "l":
-                        lefts = self.term(b, env)
-                    elif a.op == "r":
-                        rights = self.term(b, env)
-                    elif a.op == "max" and self.term(b, env) == 0:
-                        unbounded = True
+                    fixes.append(("=", b))
+                    return tuple(fixes), None
+                if (type(a) is App and a.args == (vt,)
+                        and a.op in ("l", "r", "max")):
+                    fixes.append((a.op, b))
+        return tuple(fixes), _bounds_plan(var, conjs)
+
+    def witnesses(self, plan, env: dict):
+        """Masks for a quantified variable: the one an equation fixes, the
+        one its left and right endpoints fix together, else the valid masks
+        within its lattice bounds (empty or unbounded when its maximum is
+        empty)."""
+        fixes, bounds = plan
+        lefts = rights = None
+        unbounded = False
+        for op, t in fixes:
+            value = self.term(t, env)
+            if op == "=":
+                return (value,)
+            if op == "l":
+                lefts = value
+            elif op == "r":
+                rights = value
+            elif value == 0:
+                unbounded = True
         if lefts is not None and rights is not None:
             return self._from_endpoints(lefts, rights)
-        lower, upper, singleton = _mask_bounds(self.term, var, conjs, env,
-                                               self.full)
+        steps, singleton = bounds
+        lower, upper = _mask_bounds(self.term, steps, env, self.full)
         if singleton:
             return _submasks(lower, 0 if unbounded else upper & self.points,
                              True)
@@ -565,16 +672,35 @@ class GridLEvaluator(_MaskEvaluator):
     formula = _grid_formula
 
 
-def _verdict_at(kind: str, f: Formula, assignment: dict, k: int,
-                cap: Optional[int]) -> bool:
-    grid = make_grid(_w_seed_points(assignment), k, cap=cap)
-    if kind == "w":
-        ev = GridWEvaluator(grid)
-    elif kind == "l":
-        ev = GridLEvaluator(grid)
-    else:
-        raise ValueError(f"unknown structure kind {kind!r}")
-    return ev.formula(f, {name: ev.encode(v) for name, v in assignment.items()})
+_GRID_EVALUATORS = {"w": GridWEvaluator, "l": GridLEvaluator}
+
+
+def _budget_verdicts(kind: str, f: Formula, assignment: dict,
+                     cap: Optional[int]):
+    """verdict(k): the truth of f under the assignment at budget k, each
+    computed once.  What does not depend on the budget is done once for all
+    of them: the seeds are sorted, the cap read, and each quantifier node
+    analysed."""
+    seeds = _sorted_seeds(_w_seed_points(assignment))
+    limit = grid_cap() if cap is None else cap
+    analysed: dict = {}
+    verdicts: dict[int, bool] = {}
+
+    def verdict(k: int) -> bool:
+        if k in verdicts:
+            return verdicts[k]
+        if k < 1:
+            raise ValueError("budget must be >= 1")
+        _check_size(len(seeds), k, limit)
+        evaluator = _GRID_EVALUATORS.get(kind)
+        if evaluator is None:
+            raise ValueError(f"unknown structure kind {kind!r}")
+        ev = evaluator(seeds, k, analysed)
+        verdicts[k] = ev.formula(f, {name: ev.encode(v)
+                                     for name, v in assignment.items()})
+        return verdicts[k]
+
+    return verdict
 
 
 def grid_eval(kind: str, f: Formula, assignment: Optional[dict] = None,
@@ -582,8 +708,9 @@ def grid_eval(kind: str, f: Formula, assignment: Optional[dict] = None,
     """Budgeted witness-search truth value over W(I) (kind='w') or L(I)
     (kind='l').  Reports whether the verdicts at budgets k and k+1 agree."""
     assignment = dict(assignment or {})
-    v1 = _verdict_at(kind, f, assignment, k, cap)
-    v2 = _verdict_at(kind, f, assignment, k + 1, cap)
+    verdict = _budget_verdicts(kind, f, assignment, cap)
+    v1 = verdict(k)
+    v2 = verdict(k + 1)
     return EvalReport(verdict=v1, budget_used=k, stabilized=(v1 == v2))
 
 
@@ -593,15 +720,10 @@ def stabilize(kind: str, f: Formula, assignment: Optional[dict] = None,
     else the kmax verdict flagged as not stabilized."""
     if kmax < 2:
         raise ValueError("kmax must be >= 2")
-    assignment = dict(assignment or {})
-    verdicts: dict[int, bool] = {}
-
-    def v(k: int) -> bool:
-        if k not in verdicts:
-            verdicts[k] = _verdict_at(kind, f, assignment, k, cap)
-        return verdicts[k]
-
+    verdict = _budget_verdicts(kind, f, dict(assignment or {}), cap)
     for k in range(1, kmax):
-        if v(k) == v(k + 1):
-            return EvalReport(verdict=v(k), budget_used=k, stabilized=True)
-    return EvalReport(verdict=v(kmax), budget_used=kmax, stabilized=False)
+        if verdict(k) == verdict(k + 1):
+            return EvalReport(verdict=verdict(k), budget_used=k,
+                              stabilized=True)
+    return EvalReport(verdict=verdict(kmax), budget_used=kmax,
+                      stabilized=False)

@@ -507,11 +507,12 @@ class FreshVars:
 
 
 def _subst_term(t: Term, mapping: dict) -> Term:
-    if isinstance(t, Var):
+    kind = type(t)
+    if kind is Var:
         return mapping.get(t.name, t)
-    if isinstance(t, Const):
+    if kind is Const:
         return t
-    return App(t.op, tuple(_subst_term(a, mapping) for a in t.args))
+    return App(t.op, tuple([_subst_term(a, mapping) for a in t.args]))
 
 
 def substitute(f: Formula, mapping: dict) -> Formula:
@@ -525,48 +526,50 @@ def substitute(f: Formula, mapping: dict) -> Formula:
 
     def go(g: Formula, m: dict, vv: dict) -> Formula:
         # vv maps each key of m to the variables of its value
-        if isinstance(g, ATOM_TYPES):
-            return type(g)(_subst_term(g.left, m), _subst_term(g.right, m))
-        if isinstance(g, Not):
-            return Not(go(g.body, m, vv))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(go(g.left, m, vv), go(g.right, m, vv))
-        if isinstance(g, (Exists, Forall, ExistsPartition)):
-            bound = g.block_vars if isinstance(g, ExistsPartition) else (g.var,)
-            inner = {k: v for k, v in m.items() if k not in bound}
-            if not inner:
-                return g
-            captured = {b for k in inner for b in bound if b in vv[k]}
-            if captured:
-                # only entries that really occur free under the binder count
-                live = free_vars(g.body)
-                inner = {k: v for k, v in inner.items() if k in live}
-                captured = {b for k in inner for b in bound if b in vv[k]}
-            if captured:
-                fresh = FreshVars(all_vars(g.body) | set(bound) | set(inner)
-                                  | set().union(*(vv[k] for k in inner)))
-                vv = dict(vv)
-                for b in sorted(captured):
-                    new = fresh.fresh(b.rstrip("0123456789") or "V")
-                    inner[b] = Var(new)
-                    vv[b] = {new}
-                bound = tuple(inner[b].name if b in captured else b
-                              for b in bound)
-            body = go(g.body, inner, vv)
-            if isinstance(g, ExistsPartition):
-                return ExistsPartition(bound, body)
-            return type(g)(bound[0], body)
-        if isinstance(g, RAtom):
+        kind = type(g)
+        shape = _SHAPE.get(kind)
+        if shape == _BINARY:
+            return kind(go(g.left, m, vv), go(g.right, m, vv))
+        if shape == _LEAF:
+            if kind is not RAtom:
+                return kind(_subst_term(g.left, m), _subst_term(g.right, m))
             # power atoms take bare variable arguments; only var-for-var works
             args = []
             for a in g.args:
                 value = m.get(a, Var(a))
-                if not isinstance(value, Var):
+                if type(value) is not Var:
                     raise ValueError(
                         "cannot substitute a complex term into a power atom")
                 args.append(value.name)
             return RAtom(g.seq, tuple(args))
-        raise TypeError(f"not a formula: {g!r}")
+        if shape == _NOT:
+            return Not(go(g.body, m, vv))
+        if shape is None:
+            raise TypeError(f"not a formula: {g!r}")
+        bound = g.block_vars if shape == _PARTITION else (g.var,)
+        inner = {k: v for k, v in m.items() if k not in bound}
+        if not inner:
+            return g
+        captured = {b for k in inner for b in bound if b in vv[k]}
+        if captured:
+            # only entries that really occur free under the binder count
+            live = free_vars(g.body)
+            inner = {k: v for k, v in inner.items() if k in live}
+            captured = {b for k in inner for b in bound if b in vv[k]}
+        if captured:
+            fresh = FreshVars(all_vars(g.body) | set(bound) | set(inner)
+                              | set().union(*(vv[k] for k in inner)))
+            vv = dict(vv)
+            for b in sorted(captured):
+                new = fresh.fresh(b.rstrip("0123456789") or "V")
+                inner[b] = Var(new)
+                vv[b] = {new}
+            bound = tuple(inner[b].name if b in captured else b
+                          for b in bound)
+        body = go(g.body, inner, vv)
+        if shape == _PARTITION:
+            return ExistsPartition(bound, body)
+        return kind(bound[0], body)
 
     if not mapping:
         return f
@@ -612,22 +615,34 @@ def replace_subterm(t: Term, target: Term, replacement: Term) -> Term:
 
 def unnest_atom(f: Formula, fresh: FreshVars) -> Formula:
     """Hoist nested function applications out of an atomic formula using
-    existentially quantified auxiliaries, preserving truth in every structure."""
+    existentially quantified auxiliaries, preserving truth in every structure.
+
+    Each side is walked once in post-order, arguments left to right, the
+    left side first.  Every application met is hoisted to a fresh variable
+    except the one the atom keeps: the top of the right side, or the top of
+    the left side when the right side has none.  Equal subterms of one side
+    share one auxiliary."""
     hoisted: list[tuple[str, Term]] = []
-    left, right = f.left, f.right
-    while _app_count(left) + _app_count(right) > 1:
-        if _app_count(left) > 1 or (_app_count(left) == 1 and _app_count(right) >= 1):
-            side = "left"
-            inner = innermost_app(left)
-        else:
-            side = "right"
-            inner = innermost_app(right)
-        name = fresh.fresh("U")
-        hoisted.append((name, inner))
-        if side == "left":
-            left = replace_subterm(left, inner, Var(name))
-        else:
-            right = replace_subterm(right, inner, Var(name))
+
+    def side(t: Term, keep_top: bool) -> Term:
+        names: dict = {}
+
+        def go(s: Term, top: bool) -> Term:
+            if type(s) is not App:
+                return s
+            s = App(s.op, tuple([go(a, False) for a in s.args]))
+            if top and keep_top:
+                return s
+            name = names.get(s)
+            if name is None:
+                name = names[s] = fresh.fresh("U")
+                hoisted.append((name, s))
+            return Var(name)
+
+        return go(t, True)
+
+    left = side(f.left, keep_top=type(f.right) is not App)
+    right = side(f.right, keep_top=True)
     core: Formula = type(f)(left, right)
     for name, term in reversed(hoisted):
         core = Exists(name, And(Eq(Var(name), term), core))

@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +19,7 @@ from mcdlo.rewriting import (CodePair, code_domain, code_to_interval_union,
                              notbot_formula,
                              phi_mem, phi_subset, qf_positive_rewrite,
                              relativize, w_in_l_translate)
+from mcdlo.rewriting import _neq_template
 from mcdlo.semantics import bruteforce_eval, stabilize
 from mcdlo.syntax import (And, App, Const, Eq, Not, Or,
                           SIGNATURES, Var, formula_ops, free_vars,
@@ -265,6 +270,16 @@ def test_lci_existential_rewrite_nonempty():
         assert rep.stabilized and rep.verdict == (not x.is_empty()), x
 
 
+def test_lci_existential_rewrite_is_the_same_on_every_call():
+    """The inequation template is built once; each call still gives the
+    same formula, and the template is never rewritten in place."""
+    f = parse("(or (not (= X Y)) (not (= (l X) bot)))", SIGNATURES["lci"])
+    first = print_formula(lci_existential_rewrite(f))
+    assert _neq_template() is _neq_template()
+    assert print_formula(lci_existential_rewrite(f)) == first
+    assert free_vars(_neq_template()) == {"Uneq", "Vneq"}
+
+
 def test_lci_existential_rewrite_inequation_sampled():
     f = parse("(not (= X Y))", SIGNATURES["lci"])
     out = lci_existential_rewrite(f)
@@ -337,3 +352,30 @@ def test_partition_quantifier_raises_eval_error(name):
 def test_is_positive_wso_rejects_partition_quantifier():
     assert is_positive_wso(parse("(exists X (= X bot))", SIGNATURES["wso"]))
     assert not is_positive_wso(parse(PARTITION, SIGNATURES["wso"]))
+
+
+# -- relativisation -----------------------------------------------------------
+
+RELATIVIZE_SCRIPT = """
+from mcdlo.rewriting import relativize
+from mcdlo.syntax import SIGNATURES, parse, print_formula
+f = parse("(exists X (and (subset A X) (subset X B)))", SIGNATURES["mo"])
+print(print_formula(relativize(f, ("interval", "A", "X"))))
+"""
+
+
+def test_relativize_names_do_not_depend_on_the_hash_seed():
+    """Clashing mode parameters are renamed in sorted order, so string
+    hashing (randomised per process) cannot change the fresh names."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", RELATIVIZE_SCRIPT],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("(exists X2 ")

@@ -1,5 +1,6 @@
 import itertools
 import os
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,10 @@ from mcdlo.semantics import (BruteForceEvaluator, EvalReport, GridCapError,
                              bruteforce_eval, grid_eval, make_grid,
                              split_block, stabilize)
 from mcdlo.rewriting import relativize
-from mcdlo.syntax import (ARITY, And, App, Const, Eq, Exists, Forall,
-                          Implies, LtEAtom, Not, Or, SIGNATURES, SubsetAtom,
-                          Var, and_all, free_vars, parse,
-                          print_formula)
+from mcdlo.syntax import (ARITY, And, App, Const, Eq, Exists,
+                          ExistsPartition, Forall, Implies, LtEAtom, Not, Or,
+                          SIGNATURES, SubsetAtom, Var, and_all, free_vars,
+                          parse, print_formula, subformulas)
 
 from conftest import THREE_ATOMS_MINISCOPED, THREE_ATOMS_PRENEX, subsets_of
 
@@ -453,6 +454,141 @@ def test_make_grid_pins_seeds_and_mean_points():
                                                                "1/2", "3/4")
 
 
+def test_make_grid_puts_seed_j_at_bit_j_times_budget_plus_one():
+    """The grid evaluators of a query take the sorted seeds only: seed j is
+    bit j(k+1) of the budget-k grid."""
+    for seeds in ([], [Fraction(1, 2)], [Fraction(3, 4), Fraction(1, 8)],
+                  [Fraction(1, 3), Fraction(2, 3), Fraction(1, 9)]):
+        ordered = sorted({Fraction(0), *seeds})
+        for k in (1, 2, 3):
+            grid = make_grid(seeds, k, cap=64)
+            assert len(grid) == len(ordered) * (k + 1)
+            for j, seed in enumerate(ordered):
+                assert grid[j * (k + 1)] == seed
+            for ev in (GridWEvaluator(ordered, k), GridLEvaluator(ordered, k)):
+                assert ev.size == len(grid)
+                assert ev.index == {p: i for i, p in enumerate(grid)
+                                    if p in ordered}
+
+
+def reference_verdicts(kind, f, asg, budgets):
+    """f's verdict at each budget on the evaluator built over the whole
+    grid `make_grid` gives."""
+    out = {}
+    for k in budgets:
+        grid = make_grid(_w_seed_points(asg), k)
+        ev = (GridWEvaluator if kind == "w" else GridLEvaluator)(grid)
+        out[k] = ev.formula(f, {n: ev.encode(v) for n, v in asg.items()})
+    return out
+
+
+# one non-zero seed at most keeps the budget-2 grid at 6 points
+SEED_POOL = (Fraction(1, 3), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("kind", ["w", "l"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_query_verdicts_match_evaluators_on_make_grid(kind, data):
+    """The seed-rank evaluators of grid_eval and stabilize give, at every
+    budget, the verdict of an evaluator built on the make_grid grid, and
+    stabilize reports the least budget whose verdict the next one keeps."""
+    f = data.draw(wso_formulas if kind == "w" else lci_formulas, label="f")
+    seed = data.draw(st.sampled_from(SEED_POOL), label="seed")
+    values = ([FinSet(), FinSet.of(seed)] if kind == "w"
+              else enumerate_interval_unions([Fraction(0), seed]))
+    asg = {n: data.draw(st.sampled_from(values), label=n)
+           for n in sorted(free_vars(f))}
+    want = reference_verdicts(kind, f, asg, (1, 2))
+    cls = GridWEvaluator if kind == "w" else GridLEvaluator
+    seeds = sorted({Fraction(0), seed})
+    for k in (1, 2):
+        by_rank = cls(seeds, k)
+        on_grid = cls(make_grid([seed], k))
+        assert by_rank.full == on_grid.full
+        for v in values:
+            assert by_rank.encode(v) == on_grid.encode(v)
+    got = grid_eval(kind, f, asg, k=1)
+    assert got.verdict == want[1]
+    assert got.stabilized == (want[1] == want[2])
+    assert stabilize(kind, f, asg, kmax=2) == EvalReport(
+        verdict=want[1] if want[1] == want[2] else want[2],
+        budget_used=1 if want[1] == want[2] else 2,
+        stabilized=want[1] == want[2])
+
+
+def count_analyses(monkeypatch, cls):
+    """Counter of `analyse` calls by quantifier node, and of evaluators
+    built, for every evaluator of class cls."""
+    analysed, built = Counter(), Counter()
+    analyse, init = cls.analyse, cls.__init__
+
+    def counting_analyse(self, q):
+        analysed[id(q)] += 1
+        return analyse(self, q)
+
+    def counting_init(self, *args, **kwargs):
+        built[cls] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "analyse", counting_analyse)
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    return analysed, built
+
+
+@pytest.mark.parametrize("kind,text", [
+    ("w", "(exists X (exists Y (and (= (inter X A) X) (and (= (inter Y X) Y) "
+          "(not (= Y bot))))))"),
+    ("w", "(forall X (implies (= (inter X A) X) (exists Y (and "
+          "(= (inter Y X) Y) (= (min Y) Y)))))"),
+    ("l", "(forall X (implies (= (max X) bot) (exists Y (= (l Y) (l X)))))"),
+])
+def test_each_quantifier_is_analysed_once_per_query(monkeypatch, kind, text):
+    """stabilize evaluates several budgets but splits each block and plans
+    each quantifier once."""
+    f = parse(text, WSO if kind == "w" else SIGNATURES["lci"])
+    cls = GridWEvaluator if kind == "w" else GridLEvaluator
+    analysed, built = count_analyses(monkeypatch, cls)
+    half = Fraction(1, 2)
+    value = (FinSet.of(half) if kind == "w"
+             else IntervalUnion(((half, None),)))
+    report = stabilize(kind, f, {"A": value}, kmax=3)
+    assert built[cls] >= 2
+    quantifiers = [g for g in subformulas(f)
+                   if isinstance(g, (Exists, Forall))]
+    assert analysed and set(analysed.values()) == {1}
+    assert len(analysed) >= len(quantifiers)
+    # the same verdict on an evaluator per budget that analyses afresh
+    want = reference_verdicts(kind, f, {"A": value}, (1, 2, 3))
+    assert report.verdict == want[report.budget_used]
+
+
+def test_partition_body_is_split_once_per_node(monkeypatch):
+    """A nested partition quantifier is searched once per labelling of the
+    enclosing one (all of them: the inner body is false), and its body is
+    split into bounds and rest once."""
+    analysed, _ = count_analyses(monkeypatch, BruteForceEvaluator)
+    visits = Counter()
+    search = BruteForceEvaluator.exists_partition
+
+    def counting_search(self, f, env):
+        visits[id(f)] += 1
+        return search(self, f, env)
+
+    monkeypatch.setattr(BruteForceEvaluator, "exists_partition",
+                        counting_search)
+    inner = ExistsPartition(("Z3", "Z4"), and_all([
+        SubsetAtom(Var("Z3"), Var("Z1")), SubsetAtom(Var("Z4"), Var("A")),
+        Eq(App("inter", (Var("Z3"), Var("Z2"))), Const("bot")),
+        Not(Eq(Var("Z4"), Var("Z4")))]))
+    outer = ExistsPartition(("Z1", "Z2"), and_all([
+        SubsetAtom(Var("Z1"), Var("A")), Not(Eq(Var("Z1"), Var("A"))),
+        inner]))
+    assert bruteforce_eval(MsoFin(3), outer, {"A": 0b111}) is False
+    assert visits[id(inner)] > 1
+    assert analysed[id(outer)] == analysed[id(inner)] == 1
+
+
 def test_grid_cap_enforced(monkeypatch):
     with pytest.raises(GridCapError):
         make_grid([Fraction(i, 10) for i in range(8)], 3, cap=10)
@@ -461,6 +597,31 @@ def test_grid_cap_enforced(monkeypatch):
         make_grid([Fraction(0), Fraction(1, 2)], 2)
     monkeypatch.setenv("MCDLO_GRID_CAP", "30")
     make_grid([Fraction(0), Fraction(1, 2)], 2)
+
+
+def test_queries_raise_the_grid_cap_error_of_make_grid(monkeypatch):
+    """A query builds no grid but stops at the size make_grid refuses, with
+    the same message, and reads MCDLO_GRID_CAP once."""
+    f = parse("(exists X (= (inter X A) X))", WSO)
+    asg = {"A": FinSet.of(Fraction(1, 3), Fraction(2, 3))}
+    with pytest.raises(GridCapError) as want:
+        make_grid(_w_seed_points(asg), 4)
+    with pytest.raises(GridCapError) as got:
+        grid_eval("w", f, asg, k=4)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == "grid of 15 points exceeds cap 14"
+    with pytest.raises(GridCapError, match="grid of 12 points exceeds cap 11"):
+        grid_eval("w", f, asg, k=3, cap=11)
+    reads = Counter()
+    environ_get = os.environ.get
+
+    def counting_get(key, default=None):
+        reads[key] += 1
+        return environ_get(key, default)
+
+    monkeypatch.setattr(os.environ, "get", counting_get)
+    assert stabilize("w", f, {"A": FinSet.of(Fraction(1, 2))}).verdict
+    assert reads["MCDLO_GRID_CAP"] == 1
 
 
 def test_grid_eval_reports():

@@ -12,7 +12,7 @@ from mcdlo.syntax import (And, App, Const, Eq, Exists, ExistsPartition, Forall,
                           is_quantifier_free, is_unnested, map_atoms,
                           map_children,
                           parse, print_formula, subformulas, substitute,
-                          subterms, unnest)
+                          subterms, unnest, unnest_atom)
 
 WSO = SIGNATURES["wso"]
 MSOFIN = SIGNATURES["msofin"]
@@ -137,6 +137,28 @@ def test_unnest_produces_unnested(f):
     g = unnest(f, FreshVars(all_vars(f)))
     assert is_unnested(g)
     assert free_vars(g) == free_vars(f)
+
+
+@pytest.mark.parametrize("text,want", [
+    # equal subterms of one side share one auxiliary; the right top stays
+    ("(= (union (min X) (min X)) (max Y))",
+     "(exists U1 (and (= U1 (min X)) (exists U2 (and (= U2 (union U1 U1)) "
+     "(= U2 (max Y))))))"),
+    ("(= X (union (min (inter X Y)) (max (inter X Y))))",
+     "(exists U1 (and (= U1 (inter X Y)) (exists U2 (and (= U2 (min U1)) "
+     "(exists U3 (and (= U3 (max U1)) (= X (union U2 U3))))))))"),
+    # the left top stays when the right side has no application
+    ("(= (union (min X) Y) bot)",
+     "(exists U1 (and (= U1 (min X)) (= (union U1 Y) bot)))"),
+    # the memo is per side: equal terms on both sides get two names
+    ("(= (min X) (union (min X) Y))",
+     "(exists U1 (and (= U1 (min X)) (exists U2 (and (= U2 (min X)) "
+     "(= U1 (union U2 Y))))))"),
+    ("(= (min X) Y)", "(= (min X) Y)"),
+])
+def test_unnest_atom_pins_names_and_order(text, want):
+    f = parse(text, WSO)
+    assert print_formula(unnest_atom(f, FreshVars(all_vars(f)))) == want
 
 
 msofin_terms = st.recursive(
