@@ -148,10 +148,10 @@ def cmd_fv_reduce(args) -> int:
         f, sorted(params),
         oracle=lambda s: stabilize("w", s, {}, kmax=args.kmax))
     log.info("reduced to %d component sentences, stabilized=%s, "
-             "psi blocks kept=%d dropped=%d, psi nodes=%d, "
-             "patterns pruned=%d, oracle cache hits=%d",
+             "psi blocks kept=%d, psi nodes=%d, patterns pruned=%d, "
+             "oracle cache hits=%d",
              len(result.sentences), result.stabilized, result.blocks_kept,
-             result.blocks_dropped, result.psi_nodes, result.patterns_pruned,
+             result.psi_nodes, result.patterns_pruned,
              result.oracle_cache_hits)
     _emit(result.to_json())
     return EXIT_TRUE if result.stabilized else EXIT_UNSTABLE
@@ -272,6 +272,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (EvalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        # parsing, printing and evaluation recurse once per nesting level
+        print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 
 

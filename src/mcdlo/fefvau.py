@@ -11,8 +11,9 @@ The existential step builds only the sign patterns of its component formulas
 that some component can realise: it backtracks over the component formulas
 and cuts a partial pattern as soon as a `realizable` callback says that
 `exists x (partial literals)` holds nowhere.  Every extension of a cut pattern
-is a stronger formula, so its block is empty in every labelling and dropping
-it is exact.  Without a callback every one of the 2^m patterns is kept.
+is a stronger formula, so its block would be empty in every labelling and
+leaving it out is exact.  The blocks are live by construction: no later pass
+removes any.  Without a callback every one of the 2^m patterns is kept.
 
 `translate_with_parameters` instantiates the machinery for W(I) decomposed
 around a parameter tuple: truth of an MO formula at the parameters reduces
@@ -38,8 +39,8 @@ from .order import FinSet, Rat
 from .syntax import (ATOM_TYPES, And, App, Const, Eq, Exists, ExistsPartition,
                      Forall, Formula, FreshVars, Implies, LtEAtom, Not, Or,
                      RAtom, SubsetAtom, Var, all_vars, and_all, conjuncts,
-                     free_vars, map_atoms, map_children, print_formula,
-                     subformulas, substitute, subterms)
+                     free_vars, map_atoms, print_formula, subformulas,
+                     substitute, subterms)
 from .models import EvalError, MsoFin, WsoStructure, restrict
 from .semantics import (BruteForceEvaluator, EvalReport, bruteforce_eval,
                         stabilize)
@@ -94,8 +95,8 @@ def _sv(n: int) -> tuple[str, ...]:
 
 
 def atomic_sequences() -> dict:
-    """Acceptable sequences interpreting the MO atoms and named parameter
-    constants in the generalised power."""
+    """Acceptable sequences interpreting the MO atoms in the generalised
+    power."""
     x1, x2 = "Xc1", "Xc2"
     subset_seq = AcceptableSequence(
         index_formula=Eq(Var("Ys1"), Const("top")),
@@ -115,21 +116,7 @@ def atomic_sequences() -> dict:
                 Not(Eq(Var(x1), Const("bot"))),
                 Not(Eq(Var(x2), Const("bot")))),
         arity=(x1, x2))
-    return {"subset": subset_seq, "=": eq_seq, "ltE": lte_seq,
-            "constant": constant_sequence}
-
-
-def constant_sequence(name: str) -> AcceptableSequence:
-    """Sequence pinning a power element to the named parameter constant: the
-    support of x = 0 must be the constant's index set, and the support of
-    x = bot its complement."""
-    return AcceptableSequence(
-        index_formula=And(Eq(Var("Ys1"), Const(name)),
-                          Eq(Var("Ys2"), App("compl", (Const(name),)))),
-        support_vars=_sv(2),
-        thetas=(Eq(Var("Xc1"), Const("zero")),
-                Eq(Var("Xc1"), Const("bot"))),
-        arity=("Xc1",))
+    return {"subset": subset_seq, "=": eq_seq, "ltE": lte_seq}
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +164,9 @@ def fv_reduce(phi: Formula, context: Optional[Sequence[str]] = None,
     for any value of the context, each extension's block is empty in every
     labelling and dropping the whole subtree leaves the relation unchanged.
     Only the leaves, the full patterns left, get partition blocks, eta
-    sentences and union terms.  Without a callback every pattern is kept,
+    sentences and union terms, so every block is live by construction.  A
+    partition body is the blocks' guards followed by the conjuncts of the
+    substituted index formula.  Without a callback every pattern is kept,
     which is the classical 2^m construction.  More than `theta_cap` leaves in
     one step raise `ThetaOverflowError`."""
     if realizable is None:
@@ -252,7 +241,8 @@ def fv_reduce(phi: Formula, context: Optional[Sequence[str]] = None,
             inner = substitute(sub.index_formula, unions)
             guards = [SubsetAtom(Var(z), Var(y))
                       for z, y in zip(blocks, new_vars)]
-            phi_new = ExistsPartition(tuple(blocks), and_all(guards + [inner]))
+            phi_new = ExistsPartition(tuple(blocks),
+                                      and_all(guards + list(conjuncts(inner))))
             return _dedup(AcceptableSequence(
                 phi_new, tuple(new_vars), tuple(eta for _s, eta in leaves),
                 ctx))
@@ -268,29 +258,12 @@ class PowerStructure:
     """Fully enumerable generalised power M^I for finite M = MSO(n) and a
     finite index set of order points."""
 
-    def __init__(self, m: MsoFin, index_points: Sequence,
-                 index_constants: Optional[dict] = None):
+    def __init__(self, m: MsoFin, index_points: Sequence):
         self.m = m
-        self.points = tuple(sorted(Fraction(p) for p in index_points))
-        self.size = len(self.points)
-        constants = {}
-        for name, value in (index_constants or {}).items():
-            constants[name] = self._index_mask(value)
-        self.algebra = BruteForceEvaluator(self.size, constants=constants)
-        self.component_universe = [self._enc_component(s) for s in m.universe()]
-
-    def _enc_component(self, s) -> int:
-        mask = 0
-        for i in s:
-            mask |= 1 << i
-        return mask
-
-    def _index_mask(self, value) -> int:
-        pts = value.points if isinstance(value, FinSet) else value
-        mask = 0
-        for p in pts:
-            mask |= 1 << self.points.index(Fraction(p))
-        return mask
+        self.size = len(index_points)  # only the number of points matters
+        self.algebra = BruteForceEvaluator(self.size)
+        # the subsets of M as masks, in the order of m.universe()
+        self.component_universe = range(1 << m.n)
 
     def elements(self):
         """All functions from the index set into M, as component tuples."""
@@ -408,8 +381,7 @@ class ParameterTranslation:
     sentences: list[Formula]
     reports: list[EvalReport]
     stabilized: bool
-    blocks_kept: int      # partition blocks left in psi
-    blocks_dropped: int   # dead blocks removed from psi
+    blocks_kept: int      # partition blocks of psi
     psi_nodes: int        # formula and term nodes of psi
     patterns_pruned: int  # partial sign patterns the oracle cut
     oracle_cache_hits: int  # repeated sentences answered from the cache
@@ -437,80 +409,35 @@ def _power_formula(phi: Formula) -> Formula:
 
 
 def _strip_constants(phi: Formula, fresh: FreshVars):
-    """Replace bot/zero constants in atoms by pseudo-parameter variables with
-    known index values (bot -> empty set, zero -> {0})."""
-    pseudo: dict[str, tuple[str, FinSet]] = {}
+    """Replace bot/zero constants in atoms by pseudo-parameter variables, the
+    parameters whose index values are bot and zero; returns the formula and
+    the map from constant names to variable names."""
+    pseudo: dict[str, str] = {}
 
     def handle_term(t):
         if isinstance(t, Const):
             if t.name not in ("bot", "zero"):
                 raise EvalError(f"constant {t.name!r} unsupported here")
             if t.name not in pseudo:
-                value = FinSet() if t.name == "bot" else FinSet.of(0)
-                pseudo[t.name] = (fresh.fresh("Xp"), value)
-            return Var(pseudo[t.name][0])
+                pseudo[t.name] = fresh.fresh("Xp")
+            return Var(pseudo[t.name])
         return t
 
     return map_atoms(phi, lambda g: type(g)(handle_term(g.left),
                                             handle_term(g.right))), pseudo
 
 
-BOT = Const("bot")
-
-
-def _fold_bot(t):
-    """Simplify union and inter with the empty set."""
-    if not isinstance(t, App):
-        return t
-    args = tuple(_fold_bot(a) for a in t.args)
-    if t.op == "union" and BOT in args:
-        return args[1] if args[0] == BOT else args[0]
-    if t.op == "inter" and BOT in args:
-        return BOT
-    return App(t.op, args)
-
-
-def drop_dead_blocks(f: Formula) -> tuple[Formula, int, int]:
-    """Remove every partition block whose guard, a top-level conjunct of its
-    partition body, is (subset Z bot): the guard goes, bot takes the block's
-    place, and union/inter fold with bot.  Exact, because a dead block is
-    empty in every satisfying labelling.  Works top-down, so a block that
-    dies once an enclosing partition's dead blocks are gone is dropped too.
-    Returns the formula and the numbers of blocks kept and dropped."""
-    kept = dropped = 0
-
-    def go(g: Formula) -> Formula:
-        nonlocal kept, dropped
-        if isinstance(g, ATOM_TYPES):
-            return type(g)(_fold_bot(g.left), _fold_bot(g.right))
-        if isinstance(g, ExistsPartition):
-            def is_dead_guard(c: Formula) -> bool:
-                return (isinstance(c, SubsetAtom) and isinstance(c.left, Var)
-                        and c.left.name in g.block_vars
-                        and _fold_bot(c.right) == BOT)
-
-            parts = list(conjuncts(g.body))
-            dead = {c.left.name for c in parts if is_dead_guard(c)}
-            live = tuple(z for z in g.block_vars if z not in dead)
-            kept += len(live)
-            dropped += len(dead)
-            body = substitute(and_all(c for c in parts if not is_dead_guard(c)),
-                              {z: BOT for z in dead})
-            return ExistsPartition(live, go(body))
-        return map_children(g, go)
-
-    out = go(f)
-    return out, kept, dropped
-
-
-def _node_count(f: Formula) -> int:
-    """Formula and term nodes of a formula."""
-    count = 0
+def _psi_counts(f: Formula) -> tuple[int, int]:
+    """(nodes, blocks): the formula and term nodes of a formula, and the
+    block variables of its partition quantifiers."""
+    nodes = blocks = 0
     for g in subformulas(f):
-        count += 1
+        nodes += 1
         if isinstance(g, ATOM_TYPES):
-            count += sum(1 for side in (g.left, g.right) for _ in subterms(side))
-    return count
+            nodes += sum(1 for side in (g.left, g.right) for _ in subterms(side))
+        elif isinstance(g, ExistsPartition):
+            blocks += len(g.block_vars)
+    return nodes, blocks
 
 
 def default_sentence_oracle(sentence: Formula, kmax: int = 4) -> EvalReport:
@@ -533,8 +460,11 @@ def translate_with_parameters(
     outside them is one where a weaker formula already failed, so each answer
     is the formula's full region set, and for a top-level component formula
     it is the gate: the union of its regions' index terms.  Every gated
-    support term goes into psi in one substitution, and partition blocks the
-    oracle gates to bot are dropped."""
+    support term goes into psi in one substitution.  A block's gate is never
+    bot, since its pattern was realized in some region, so psi keeps every
+    block `fv_reduce` built; `patterns_pruned` counts the patterns it cut.
+    Were an inconsistent oracle to leave a guard (subset Z bot), psi would
+    still be exact, as Z must then be empty."""
     params = tuple(params)
     if set(free_vars(phi)) - set(params):
         raise EvalError("free variables of phi must be among the parameters")
@@ -542,8 +472,7 @@ def translate_with_parameters(
         oracle = default_sentence_oracle
     fresh = FreshVars(all_vars(phi) | set(params), prefix="Xp")
     stripped, pseudo = _strip_constants(phi, fresh)
-    pseudo_vars = [v for v, _val in pseudo.values()]
-    all_params = params + tuple(pseudo_vars)
+    all_params = params + tuple(pseudo.values())
     phi_pi = _power_formula(stripped)
 
     sentences: list[Formula] = []
@@ -567,7 +496,7 @@ def translate_with_parameters(
 
     # the pseudo-parameter of bot is bot in every window, so no region
     # sets it to zero
-    bot_var = pseudo["bot"][0] if "bot" in pseudo else None
+    bot_var = pseudo.get("bot")
     open_params = [l for l, name in enumerate(all_params) if name != bot_var]
     regions = [frozenset(s) for r in range(len(open_params) + 1)
                for s in itertools.combinations(open_params, r)]
@@ -599,8 +528,7 @@ def translate_with_parameters(
 
     # pseudo-parameters denote definable index elements
     index_term = {name: Var(name) for name in params}
-    index_term.update({vname: Const(cname)
-                       for cname, (vname, _value) in pseudo.items()})
+    index_term.update({vname: Const(cname) for cname, vname in pseudo.items()})
 
     def region_term(region: frozenset):
         term = Const("top")
@@ -619,11 +547,10 @@ def translate_with_parameters(
             if region in held:
                 reg = region_term(region)
                 gated = reg if gated is None else App("union", (gated, reg))
-        gates[y] = gated if gated is not None else BOT
-    psi, kept, dropped = drop_dead_blocks(substitute(seq.index_formula, gates))
+        gates[y] = gated if gated is not None else Const("bot")
+    psi = substitute(seq.index_formula, gates)
+    nodes, blocks = _psi_counts(psi)
     return ParameterTranslation(psi=psi, sentences=sentences, reports=reports,
-                                stabilized=all_stable, blocks_kept=kept,
-                                blocks_dropped=dropped,
-                                psi_nodes=_node_count(psi),
-                                patterns_pruned=pruned,
+                                stabilized=all_stable, blocks_kept=blocks,
+                                psi_nodes=nodes, patterns_pruned=pruned,
                                 oracle_cache_hits=cache_hits)

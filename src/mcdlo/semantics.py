@@ -399,20 +399,18 @@ def _point_mask(self, points) -> int:
 # Exact evaluation on MSO(n)
 
 class BruteForceEvaluator(_MaskEvaluator):
-    """Exact truth in MSO(n); subsets of {0..n-1} are n-bit masks.  Extra
-    constants are masks or sets of points."""
+    """Exact truth in MSO(n); subsets of {0..n-1} are n-bit masks."""
 
-    def __init__(self, n: int, cap: int = DEFAULT_MSOFIN_CAP,
-                 constants: Optional[dict] = None):
-        if n > cap:
-            raise EvalError(f"MSO({n}) exceeds brute-force cap {cap}")
+    def __init__(self, n: int):
+        if n > DEFAULT_MSOFIN_CAP:
+            raise EvalError(f"MSO({n}) exceeds brute-force cap "
+                            f"{DEFAULT_MSOFIN_CAP}")
         self.n = n
         self.name = f"MSO({n})"
         self.index = {i: i for i in range(n)}
         full = self.full = (1 << n) - 1
         self.consts = {"bot": 0, "top": full, "zero": 1 if n else 0,
-                       "zerostar": 1 << (n - 1) if n else 0,
-                       **self.masks(constants)}
+                       "zerostar": 1 << (n - 1) if n else 0}
         self.ops = {**_BOOLEAN_OPS, "compl": lambda a: full & ~a,
                     "sinv": lambda a: a >> 1}
         self.analysed: dict = {}
@@ -539,6 +537,7 @@ class GridWEvaluator(_MaskEvaluator):
     of one query."""
 
     name = "W(I)"
+    value_type = FinSet
     consts = _GRID_CONSTS
     ops = {**_BOOLEAN_OPS, "min": _least, "max": _greatest, "msinv": _msinv}
 
@@ -564,6 +563,7 @@ class GridLEvaluator(_MaskEvaluator):
     `GridWEvaluator`."""
 
     name = "L(I)"
+    value_type = IntervalUnion
     consts = _GRID_CONSTS
 
     def __init__(self, points: Sequence[Fraction], budget: int = 0,
@@ -679,8 +679,15 @@ def _budget_verdicts(kind: str, f: Formula, assignment: dict,
                      cap: Optional[int]):
     """verdict(k): the truth of f under the assignment at budget k, each
     computed once.  What does not depend on the budget is done once for all
-    of them: the seeds are sorted, the cap read, and each quantifier node
-    analysed."""
+    of them: the values' types checked, the seeds sorted, the cap read, and
+    each quantifier node analysed."""
+    evaluator = _GRID_EVALUATORS.get(kind)
+    if evaluator is None:
+        raise ValueError(f"unknown structure kind {kind!r}")
+    for name, v in assignment.items():
+        if not isinstance(v, evaluator.value_type):
+            raise EvalError(f"{name} = {v!r}: {evaluator.name} takes "
+                            f"{evaluator.value_type.__name__} values")
     seeds = _sorted_seeds(_w_seed_points(assignment))
     limit = grid_cap() if cap is None else cap
     analysed: dict = {}
@@ -692,9 +699,6 @@ def _budget_verdicts(kind: str, f: Formula, assignment: dict,
         if k < 1:
             raise ValueError("budget must be >= 1")
         _check_size(len(seeds), k, limit)
-        evaluator = _GRID_EVALUATORS.get(kind)
-        if evaluator is None:
-            raise ValueError(f"unknown structure kind {kind!r}")
         ev = evaluator(seeds, k, analysed)
         verdicts[k] = ev.formula(f, {name: ev.encode(v)
                                      for name, v in assignment.items()})

@@ -7,15 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from mcdlo.fefvau import (AcceptableSequence, PowerElement,
                           PowerStructure, ThetaOverflowError, atomic_sequences,
-                          constant_sequence, decompose, drop_dead_blocks,
-                          funky, fv_reduce, reassemble, support,
+                          decompose, funky, fv_reduce, reassemble, support,
                           translate_with_parameters)
 from mcdlo.models import MsoFin, WsoStructure, restrict
 from mcdlo.order import FinSet
-from mcdlo.semantics import BruteForceEvaluator, bruteforce_eval, stabilize
-from mcdlo.syntax import (And, App, Const, Eq, Exists, ExistsPartition, Forall,
-                          Implies, Not, Or, RAtom, SubsetAtom, Var, and_all,
-                          free_vars, parse, SIGNATURES)
+from mcdlo.semantics import bruteforce_eval, stabilize
+from mcdlo.syntax import (And, Const, Eq, Exists, ExistsPartition, Forall,
+                          Implies, Not, Or, RAtom, SubsetAtom, Var, free_vars,
+                          parse, print_formula, SIGNATURES)
 
 from conftest import PARAM_CORPUS, PARAM_CORPUS_3, POOL3, subsets_of
 
@@ -113,12 +112,6 @@ def test_acceptable_sequence_validation():
                            (Eq(Var("Stray"), Var("Stray")),), good.arity)
 
 
-def test_constant_sequence_shape():
-    seq = constant_sequence("zero")
-    assert len(seq.support_vars) == len(seq.thetas) == 2
-    assert set(free_vars(seq.thetas[0])) <= set(seq.arity)
-
-
 def test_power_element_component_lookup():
     pe = PowerElement(index=FinSet.of(0, Fraction(1, 2)),
                       components=(FinSet.of(0), FinSet()))
@@ -202,7 +195,7 @@ def test_translate_with_parameters_rejects_stray_vars():
 
 # -- partition blocks of psi -------------------------------------------------
 
-BOT, TOP = Const("bot"), Const("top")
+BOT = Const("bot")
 NESTED = PARAM_CORPUS[-1]
 
 
@@ -282,47 +275,62 @@ def test_param_corpus_psi_keeps_live_blocks_only():
         assert out.psi_nodes > 0
 
 
-def _guarded(blocks, guards, inner):
-    return ExistsPartition(tuple(blocks), and_all(
-        [SubsetAtom(Var(z), g) for z, g in zip(blocks, guards)] + [inner]))
+NESTED_PSI = (
+    "(exists-partition (Zp27 Zp28 Zp29 Zp30 Zp31 Zp32 Zp33) (and (and (and "
+    "(and (and (and (and (subset Zp27 (inter (inter top A) (compl B))) "
+    "(subset Zp28 (union (inter (inter top (compl A)) B) (inter (inter top A) "
+    "B)))) (subset Zp29 (union (union (inter (inter top (compl A)) (compl B)) "
+    "(inter (inter top A) (compl B))) (inter (inter top A) B)))) (subset Zp30 "
+    "(union (inter (inter top (compl A)) B) (inter (inter top A) B)))) "
+    "(subset Zp31 (union (union (union (inter (inter top (compl A)) (compl B)) "
+    "(inter (inter top A) (compl B))) (inter (inter top (compl A)) B)) (inter "
+    "(inter top A) B)))) (subset Zp32 (union (union (union (inter (inter top "
+    "(compl A)) (compl B)) (inter (inter top A) (compl B))) (inter (inter top "
+    "(compl A)) B)) (inter (inter top A) B)))) (subset Zp33 (inter (inter top "
+    "(compl A)) B))) (exists-partition (Zp12 Zp13 Zp14 Zp15 Zp16 Zp17 Zp18 "
+    "Zp19) (and (and (and (and (and (and (and (and (and (and (subset Zp12 "
+    "(union (union Zp27 Zp28) Zp29)) (subset Zp13 Zp27)) (subset Zp14 Zp28)) "
+    "(subset Zp15 (union (union Zp27 Zp28) Zp29))) (subset Zp16 (union (union "
+    "(union Zp30 Zp31) Zp32) Zp33))) (subset Zp17 (union (union Zp30 Zp31) "
+    "Zp32))) (subset Zp18 Zp30)) (subset Zp19 (union (union Zp30 Zp31) "
+    "Zp33))) (= (union (union (union Zp12 Zp13) Zp14) Zp15) top)) (= (union "
+    "(union (union Zp12 Zp13) Zp16) Zp17) top)) (= (union (union (union Zp12 "
+    "Zp14) Zp16) Zp18) top)))))")
 
 
-def u(s, t):
-    return App("union", (s, t))
+def test_nested_psi_text_is_pinned():
+    """The layout of psi: each partition body is its blocks' guards, then the
+    conjuncts of its substituted index formula, joined to the left."""
+    out = translate_with_parameters(parse(NESTED, MO), ("A", "B"))
+    assert print_formula(out.psi) == NESTED_PSI
+    assert (out.blocks_kept, out.psi_nodes) == (15, 216)
 
 
-def i(s, t):
-    return App("inter", (s, t))
+def rand_mo(rng, names, depth, quantifiers=2):
+    """A random MO formula over `names`, `depth` connectives and quantifiers
+    deep at most, of which at most `quantifiers` are quantifiers."""
+    c = rng.random()
+    if depth == 0 or c < 0.2:
+        left, right = rng.choice(names + ["bot"]), rng.choice(names)
+        return f"({rng.choice(['subset', '=', 'ltE'])} {left} {right})"
+    if quantifiers and c < 0.6:
+        var = f"X{quantifiers}"
+        body = rand_mo(rng, names + [var], depth - 1, quantifiers - 1)
+        return f"({rng.choice(['exists', 'forall'])} {var} {body})"
+    if c < 0.7:
+        return f"(not {rand_mo(rng, names, depth - 1, quantifiers)})"
+    return (f"({rng.choice(['and', 'or', 'implies'])} "
+            f"{rand_mo(rng, names, depth - 1, quantifiers)} "
+            f"{rand_mo(rng, names, depth - 1, quantifiers)})")
 
 
-A, B = Var("A"), Var("B")
-Z1, Z2, Z3 = Var("Z1"), Var("Z2"), Var("Z3")
-
-DROP_CASES = [
-    # one dead block, used under union and inter
-    (_guarded(["Z1", "Z2", "Z3"], [A, BOT, TOP],
-              And(Eq(u(Z1, Z2), A), SubsetAtom(i(Z2, B), Z3))), 1),
-    # every block dead
-    (_guarded(["Z1", "Z2"], [BOT, BOT], Eq(u(Z1, Z2), A)), 2),
-    # live blocks only
-    (_guarded(["Z1", "Z2"], [A, B], Eq(u(Z1, Z2), u(A, B))), 0),
-    # an outer dead block kills the inner block it bounds
-    (_guarded(["Z1", "Z2"], [BOT, TOP],
-              _guarded(["Z3", "W"], [Z1, u(Z1, Z2)],
-                       And(Eq(u(Z3, Var("W")), A), SubsetAtom(Z3, B)))), 2),
-]
-
-
-@pytest.mark.parametrize("f, dead", DROP_CASES)
-def test_drop_dead_blocks_is_exact(f, dead):
-    g, kept, dropped = drop_dead_blocks(f)
-    assert dropped == dead
-    assert kept + dropped == len(block_names(f))
-    assert kept == len(block_names(g))
-    assert dead_guards(g) == []
-    for n in range(4):
-        ev = BruteForceEvaluator(n)
-        for a in range(1 << n):
-            for b in range(1 << n):
-                env = {"A": a, "B": b}
-                assert ev.formula(g, env) == ev.formula(f, env), (n, a, b)
+def test_random_psi_blocks_are_live():
+    """fv_reduce builds a block only for a pattern the oracle realizes, so
+    no block of psi is guarded by bot, and blocks_kept counts them all."""
+    rng = random.Random(12)
+    for _ in range(40):
+        params = ["A", "B"][:rng.randint(1, 2)]
+        text = rand_mo(rng, params, 4)
+        out = translate_with_parameters(parse(text, MO), tuple(params))
+        assert dead_guards(out.psi) == [], text
+        assert out.blocks_kept == len(block_names(out.psi)), text

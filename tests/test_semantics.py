@@ -261,6 +261,20 @@ def test_mask_kernel_matches_reference_structure(kind, data):
         assert str(got.value) == str(want.value)
 
 
+def test_queries_reject_values_of_the_other_structure():
+    """W(I) takes finite sets and L(I) interval unions; a value of the other
+    kind is an EvalError that names it."""
+    f = parse("(= A A)", WSO)
+    iu = IntervalUnion(((Fraction(0), Fraction(1, 2)),))
+    for kind, value, want in (
+            ("w", iu, "A = IU([0, 1/2]): W(I) takes FinSet values"),
+            ("l", FinSet.of(0), "A = {0}: L(I) takes IntervalUnion values")):
+        for query in (stabilize, grid_eval):
+            with pytest.raises(EvalError) as got:
+                query(kind, f, {"A": value})
+            assert str(got.value) == want
+
+
 def test_gridl_encode_rejects_endpoints_off_the_grid():
     ev = GridLEvaluator(FinSet.of(0, Fraction(1, 2)))
     for u in (IntervalUnion(((Fraction(1, 4), Fraction(1, 2)),)),
