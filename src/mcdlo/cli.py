@@ -274,7 +274,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
-        # parsing, printing and evaluation recurse once per nesting level
+        # parsing is a loop; printing, evaluation and most walks still recurse
         print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 

@@ -322,8 +322,8 @@ class PowerStructure:
 # ---------------------------------------------------------------------------
 # Supports and decomposition over W(I)
 
-def support(theta: Formula, fs: Sequence[PowerElement],
-            budget: int = 4) -> tuple[FinSet, bool]:
+def support(theta: Formula,
+            fs: Sequence[PowerElement]) -> tuple[FinSet, bool]:
     """Index points whose component values satisfy theta in W(I); second
     component reports whether every grid verdict stabilized."""
     if not fs:
@@ -334,7 +334,7 @@ def support(theta: Formula, fs: Sequence[PowerElement],
     all_stable = True
     for i in index.points:
         assignment = {nm: f.component(i) for nm, f in zip(names, fs)}
-        report = stabilize("w", theta, assignment, kmax=budget)
+        report = stabilize("w", theta, assignment, kmax=4)
         all_stable = all_stable and report.stabilized
         if report.verdict:
             hits.append(i)
@@ -440,8 +440,8 @@ def _psi_counts(f: Formula) -> tuple[int, int]:
     return nodes, blocks
 
 
-def default_sentence_oracle(sentence: Formula, kmax: int = 4) -> EvalReport:
-    return stabilize("w", sentence, {}, kmax=kmax)
+def default_sentence_oracle(sentence: Formula) -> EvalReport:
+    return stabilize("w", sentence, {}, kmax=4)
 
 
 def translate_with_parameters(

@@ -28,7 +28,7 @@ from typing import Optional
 from .order import FinSet, IntervalUnion
 from .syntax import (ATOM_TYPES, FO_CONNECTIVES, And, App, Const, Eq,
                      EvalError, Exists, Forall, Formula, FreshVars, Implies,
-                     LtEAtom, Not, Or, SignatureError, Signature, SubsetAtom,
+                     LtEAtom, Not, Or, SignatureError, SubsetAtom,
                      Term, Var, all_vars, and_all, formula_ops,
                      innermost_app, is_positive_existential,
                      is_quantifier_free, map_atoms, map_children, or_all,
@@ -212,12 +212,6 @@ def is_positive_wso(f: Formula) -> bool:
 
 # ---------------------------------------------------------------------------
 # Definitional equivalences
-
-def _tag(sig) -> str:
-    if isinstance(sig, Signature):
-        return sig.tag
-    return str(sig)
-
 
 def at_mo(t: Term, fresh: FreshVars) -> Formula:
     """t is an atom: nonempty with no proper nonempty part."""
@@ -403,10 +397,10 @@ def _functional_to_mo(f: Formula, src: str, fresh: FreshVars) -> Formula:
                      lambda g: _functional_atom_to_mo(g, src, fresh))
 
 
-def defeq_translate(f: Formula, src, dst) -> Formula:
+def defeq_translate(f: Formula, src: str, dst: str) -> Formula:
     """Truth-preserving translation along one of the definitional
-    equivalences: relational <-> finite-powerset, relational <-> W(I)."""
-    src, dst = _tag(src), _tag(dst)
+    equivalences: relational <-> finite-powerset, relational <-> W(I).
+    src and dst are signature tags."""
     fresh = FreshVars(all_vars(f))
     if src == "mo" and dst in ("msofin", "wso"):
         return _mo_to_functional(f, dst, fresh)

@@ -402,6 +402,8 @@ class BruteForceEvaluator(_MaskEvaluator):
     """Exact truth in MSO(n); subsets of {0..n-1} are n-bit masks."""
 
     def __init__(self, n: int):
+        if n < 0:
+            raise EvalError(f"MSO({n}) needs n >= 0")
         if n > DEFAULT_MSOFIN_CAP:
             raise EvalError(f"MSO({n}) exceeds brute-force cap "
                             f"{DEFAULT_MSOFIN_CAP}")

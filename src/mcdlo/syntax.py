@@ -3,6 +3,7 @@ for formulas over the four signatures used in the toolkit.
 
 One shared AST is used for every signature; a Signature value records which
 head symbols are legal so translators can be total functions between tags.
+The printer and the parser, one loop with no recursion, share one grammar.
 """
 
 from __future__ import annotations
@@ -251,25 +252,15 @@ class Signature:
     functions: frozenset
     constants: frozenset
     relations: frozenset
-    extra_constants: frozenset = frozenset()
 
-    def with_extensions(self, setminus=False, delta=False, constants=()) -> "Signature":
+    def with_extensions(self, setminus=False, delta=False) -> "Signature":
         funcs = set(self.functions)
         if setminus:
             funcs.add("setminus")
         if delta:
             funcs.add("delta")
         return Signature(self.tag, frozenset(funcs), self.constants,
-                         self.relations, self.extra_constants | frozenset(constants))
-
-    def all_constants(self) -> frozenset:
-        return self.constants | self.extra_constants
-
-    def allows_function(self, op: str) -> bool:
-        return op in self.functions
-
-    def allows_relation(self, rel: str) -> bool:
-        return rel in self.relations
+                         self.relations)
 
 
 # bot is core in the functional signatures and kept available in MO as a
@@ -289,121 +280,101 @@ VAR_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Grammar and parsing
+
+# the grammar the printer and the parser share: the head of each formula
+# node, and the slots after the head in each shape (f a formula, t a term,
+# v a variable, b a list of block variables); (op ...) has ARITY[op] t slots
+_HEADS = {Eq: "(=", SubsetAtom: "(subset", LtEAtom: "(ltE", Not: "(not",
+          And: "(and", Or: "(or", Implies: "(implies", Exists: "(exists",
+          Forall: "(forall", ExistsPartition: "(exists-partition"}
+_KINDS = {head[1:]: kind for kind, head in _HEADS.items()}
+_SLOTS = {_LEAF: "tt", _NOT: "f", _BINARY: "ff", _BINDER: "vf", _PARTITION: "bf"}
 
 _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
 
 
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        tokens.append((m.group(), m.start()))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, sig: Signature):
-        self.text = text
-        self.sig = sig
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        if self.pos >= len(self.tokens):
-            raise SyntaxErrorAt("unexpected end of input", len(self.text))
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect(self, value: str):
-        tok, at = self.next()
-        if tok != value:
-            raise SyntaxErrorAt(f"expected {value!r}, found {tok!r}", at)
-
-    def parse_formula(self) -> Formula:
-        tok, at = self.next()
-        if tok != "(":
-            raise SyntaxErrorAt(f"expected '(', found {tok!r}", at)
-        head, hat = self.next()
-        if head in ("not",):
-            body = self.parse_formula()
-            self.expect(")")
-            return Not(body)
-        if head in ("and", "or", "implies"):
-            left = self.parse_formula()
-            right = self.parse_formula()
-            self.expect(")")
-            cls = {"and": And, "or": Or, "implies": Implies}[head]
-            return cls(left, right)
-        if head in ("exists", "forall"):
-            var, vat = self.next()
-            if not VAR_RE.match(var):
-                raise SyntaxErrorAt(f"bad variable token {var!r}", vat)
-            body = self.parse_formula()
-            self.expect(")")
-            return (Exists if head == "exists" else Forall)(var, body)
-        if head == "exists-partition":
-            self.expect("(")
-            blocks = []
-            while self.peek()[0] != ")":
-                var, vat = self.next()
-                if not VAR_RE.match(var):
-                    raise SyntaxErrorAt(f"bad variable token {var!r}", vat)
-                blocks.append(var)
-            self.expect(")")
-            body = self.parse_formula()
-            self.expect(")")
-            return ExistsPartition(tuple(blocks), body)
-        if head in ("=", "subset", "ltE"):
-            if head != "=" and not self.sig.allows_relation(head):
-                raise SyntaxErrorAt(
-                    f"relation {head!r} not in signature {self.sig.tag!r}", hat)
-            left = self.parse_term()
-            right = self.parse_term()
-            self.expect(")")
-            cls = {"=": Eq, "subset": SubsetAtom, "ltE": LtEAtom}[head]
-            return cls(left, right)
-        raise SyntaxErrorAt(f"unknown formula head {head!r}", hat)
-
-    def parse_term(self) -> Term:
-        tok, at = self.next()
-        if tok == "(":
-            op, oat = self.next()
-            if op not in ARITY:
-                raise SyntaxErrorAt(f"unknown function symbol {op!r}", oat)
-            if not self.sig.allows_function(op):
-                raise SyntaxErrorAt(
-                    f"function {op!r} not in signature {self.sig.tag!r}", oat)
-            args = tuple(self.parse_term() for _ in range(ARITY[op]))
-            self.expect(")")
-            return App(op, args)
-        if tok == ")":
-            raise SyntaxErrorAt("unexpected ')'", at)
-        if tok in self.sig.all_constants():
-            return Const(tok)
-        if VAR_RE.match(tok):
-            return Var(tok)
-        raise SyntaxErrorAt(f"unknown token {tok!r}", at)
-
-
 def parse(text: str, sig: Signature) -> Formula:
-    p = _Parser(text, sig)
-    f = p.parse_formula()
-    if p.pos != len(p.tokens):
-        raise SyntaxErrorAt("trailing input", p.tokens[p.pos][1])
-    return f
+    """The formula written in text over sig.  One loop builds each node when
+    its ')' arrives, so the depth is not bounded by the recursion limit.  A
+    malformed text raises SyntaxErrorAt at the first offending token."""
+    tokens = [(m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+    tokens.append((None, len(text)))
+    stack: list = []  # open nodes: [type or function symbol, slots, children]
+    kind, slots, children = None, "f", []  # stands in for the root's parent
+    i = 0
+    while True:
+        tok, at = tokens[i]
+        i += 1
+        if tok is None:
+            raise SyntaxErrorAt("unexpected end of input", at)
+        n = len(children)
+        slot = slots[n] if n < len(slots) else ")"
+        if slot == ")":
+            if tok != ")":
+                raise SyntaxErrorAt(f"expected ')', found {tok!r}", at)
+            node = (App(kind, tuple(children)) if type(kind) is str
+                    else kind(*children))
+            stack.pop()
+            if not stack:
+                if tokens[i][0] is not None:
+                    raise SyntaxErrorAt("trailing input", tokens[i][1])
+                return node
+            kind, slots, children = stack[-1]
+            children.append(node)
+        elif slot == "v":
+            if not VAR_RE.match(tok):
+                raise SyntaxErrorAt(f"bad variable token {tok!r}", at)
+            children.append(tok)
+        elif slot == "t" and tok != "(":
+            if tok == ")":
+                raise SyntaxErrorAt("unexpected ')'", at)
+            if tok in sig.constants:
+                children.append(Const(tok))
+            elif VAR_RE.match(tok):
+                children.append(Var(tok))
+            else:
+                raise SyntaxErrorAt(f"unknown token {tok!r}", at)
+        elif tok != "(":
+            raise SyntaxErrorAt(f"expected '(', found {tok!r}", at)
+        elif slot == "b":
+            blocks = []
+            while tokens[i][0] != ")":
+                tok, at = tokens[i]
+                i += 1
+                if tok is None:
+                    raise SyntaxErrorAt("unexpected end of input", at)
+                if not VAR_RE.match(tok):
+                    raise SyntaxErrorAt(f"bad variable token {tok!r}", at)
+                blocks.append(tok)
+            i += 1
+            children.append(tuple(blocks))
+        else:
+            head, at = tokens[i]
+            i += 1
+            if head is None:
+                raise SyntaxErrorAt("unexpected end of input", at)
+            if slot == "t":
+                if head not in ARITY:
+                    raise SyntaxErrorAt(f"unknown function symbol {head!r}", at)
+                if head not in sig.functions:
+                    raise SyntaxErrorAt(
+                        f"function {head!r} not in signature {sig.tag!r}", at)
+                kind, slots = head, "t" * ARITY[head]
+            else:
+                kind = _KINDS.get(head)
+                if kind is None:
+                    raise SyntaxErrorAt(f"unknown formula head {head!r}", at)
+                if _SHAPE[kind] == _LEAF and head not in sig.relations:
+                    raise SyntaxErrorAt(
+                        f"relation {head!r} not in signature {sig.tag!r}", at)
+                slots = _SLOTS[_SHAPE[kind]]
+            children = []
+            stack.append([kind, slots, children])
 
 
 # ---------------------------------------------------------------------------
 # Printing
-
-_HEADS = {Eq: "(=", SubsetAtom: "(subset", LtEAtom: "(ltE", Not: "(not",
-          And: "(and", Or: "(or", Implies: "(implies", Exists: "(exists",
-          Forall: "(forall", ExistsPartition: "(exists-partition"}
-
 
 def _write(node, out: list) -> None:
     """Append the text of a term or formula to out, token by token: the text

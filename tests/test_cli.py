@@ -60,6 +60,10 @@ def test_eval_msofin_requires_n(capsys):
     code, out, _ = run_cli(capsys, "eval", "--sig", "msofin", "--n", "1",
                            "--formula", "(= zero zerostar)")
     assert code == EXIT_TRUE
+    code, out, err = run_cli(capsys, "eval", "--sig", "msofin", "--n", "-1",
+                             "--formula", "(= zero zerostar)")
+    assert (code, out) == (EXIT_USAGE, None)
+    assert err == "error: MSO(-1) needs n >= 0\n"
 
 
 def test_eval_with_params_file(capsys, tmp_path):

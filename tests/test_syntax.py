@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from mcdlo.models import EvalError, MsoFin
 from mcdlo.semantics import bruteforce_eval
 from mcdlo.semantics import BruteForceEvaluator
-from mcdlo.syntax import (And, App, Const, Eq, Exists, ExistsPartition, Forall,
+from mcdlo.syntax import (_HEADS, _KINDS, _SHAPE, _SLOTS, ARITY, And, App,
+                          Const, Eq, Exists, ExistsPartition, Forall,
                           FreshVars, Implies, LtEAtom, Not, Or, RAtom,
                           SIGNATURES, SubsetAtom,
                           SyntaxErrorAt, Var, all_vars, free_vars,
@@ -60,15 +61,104 @@ def test_parse_examples():
     assert f == Eq(App("min", (Var("X"),)), Var("Y"))
 
 
+# every parse error pinned to its message and position: (text, signature,
+# message, position); the end of input is reported at len(text)
+PARSE_ERRORS = [
+    # end of input in every slot
+    ("", WSO, "unexpected end of input", 0),
+    ("(", WSO, "unexpected end of input", 1),
+    ("(not", WSO, "unexpected end of input", 4),
+    ("(not (= X X)", WSO, "unexpected end of input", 12),
+    ("(and (= X X)", WSO, "unexpected end of input", 12),
+    ("(exists", WSO, "unexpected end of input", 7),
+    ("(exists X", WSO, "unexpected end of input", 9),
+    ("(exists-partition", MSOFIN, "unexpected end of input", 17),
+    ("(exists-partition (", MSOFIN, "unexpected end of input", 19),
+    ("(exists-partition (Z", MSOFIN, "unexpected end of input", 20),
+    ("(exists-partition (Z)", MSOFIN, "unexpected end of input", 21),
+    ("(exists-partition (Z) (= Z Z)", MSOFIN, "unexpected end of input", 29),
+    ("(=", WSO, "unexpected end of input", 2),
+    ("(= X", WSO, "unexpected end of input", 4),
+    ("(= X X   ", WSO, "unexpected end of input", 9),
+    ("(= (", WSO, "unexpected end of input", 4),
+    ("(= (min", WSO, "unexpected end of input", 7),
+    ("(= (union X", WSO, "unexpected end of input", 11),
+    ("(= (min X", WSO, "unexpected end of input", 9),
+    # a formula that does not open with '('
+    ("X", WSO, "expected '(', found 'X'", 0),
+    ("(not X)", WSO, "expected '(', found 'X'", 5),
+    ("(not )", WSO, "expected '(', found ')'", 5),
+    ("(and (= X X) Y)", WSO, "expected '(', found 'Y'", 13),
+    ("(exists X Y)", WSO, "expected '(', found 'Y'", 10),
+    ("(exists-partition Z (= Z Z))", MSOFIN, "expected '(', found 'Z'", 18),
+    # one argument too many
+    ("(= X X X)", WSO, "expected ')', found 'X'", 7),
+    ("(= (min X Y) Z)", WSO, "expected ')', found 'Y'", 10),
+    ("(not (= X X) (= X X))", WSO, "expected ')', found '('", 13),
+    ("(exists-partition (Z) (= Z Z) (= Z Z))", MSOFIN,
+     "expected ')', found '('", 30),
+    # one argument too few
+    ("(= X)", WSO, "unexpected ')'", 4),
+    ("(= ) X)", WSO, "unexpected ')'", 3),
+    ("(= (union X) Y)", WSO, "unexpected ')'", 11),
+    # a token its slot cannot take
+    ("(= X foo)", WSO, "unknown token 'foo'", 5),
+    ("(= zerostar X)", WSO, "unknown token 'zerostar'", 3),
+    ("(= X 1x)", WSO, "unknown token '1x'", 5),
+    ("(exists x (= x x))", WSO, "bad variable token 'x'", 8),
+    ("(exists ) (= X X))", WSO, "bad variable token ')'", 8),
+    ("(exists ( (= X X))", WSO, "bad variable token '('", 8),
+    ("(exists-partition (Z z) (= Z Z))", MSOFIN, "bad variable token 'z'", 21),
+    ("(exists-partition (( ) (= X X))", MSOFIN, "bad variable token '('", 19),
+    ("(foo X)", WSO, "unknown formula head 'foo'", 1),
+    ("(union X Y)", WSO, "unknown formula head 'union'", 1),
+    ("()", WSO, "unknown formula head ')'", 1),
+    ("((", WSO, "unknown formula head '('", 1),
+    ("(= (foo X) Y)", WSO, "unknown function symbol 'foo'", 4),
+    ("(= () X)", WSO, "unknown function symbol ')'", 4),
+    ("(= ((", WSO, "unknown function symbol '('", 4),
+    ("(= (= X X) Y)", WSO, "unknown function symbol '='", 4),
+    ("(= (sinv X) Y)", WSO, "function 'sinv' not in signature 'wso'", 4),
+    ("(= (l X) Y)", WSO, "function 'l' not in signature 'wso'", 4),
+    ("(= (union X Y) Z)", MO, "function 'union' not in signature 'mo'", 4),
+    ("(subset X Y)", WSO, "relation 'subset' not in signature 'wso'", 1),
+    ("(ltE X Y)", MSOFIN, "relation 'ltE' not in signature 'msofin'", 1),
+    ("(= X X) (= X X)", WSO, "trailing input", 8),
+    ("(= X X))", WSO, "trailing input", 7),
+    ("(= X X) )", WSO, "trailing input", 8),
+]
+
+
 def test_parse_errors_have_positions():
-    with pytest.raises(SyntaxErrorAt):
-        parse("(= X", WSO)
-    with pytest.raises(SyntaxErrorAt):
-        parse("(union X Y)", WSO)  # a term is not a formula
-    with pytest.raises(SyntaxErrorAt):
-        parse("(= (sinv X) Y)", WSO)  # sinv is unary only in msofin
-    with pytest.raises(SyntaxErrorAt):
-        parse("(= (min X Y) Z)", WSO)  # arity violation
+    wrong = []
+    for text, sig, message, position in PARSE_ERRORS:
+        with pytest.raises(SyntaxErrorAt) as err:
+            parse(text, sig)
+        got = (str(err.value), err.value.position)
+        if got != (f"{message} (at position {position})", position):
+            wrong.append((text, got))
+    assert wrong == []
+
+
+def test_deep_nesting_parses():
+    depth = 5000
+    f = parse("(not " * depth + "(= X X)" + ")" * depth, WSO)
+    for _ in range(depth):
+        f = f.body
+    assert f == Eq(Var("X"), Var("X"))
+    t = parse("(= " + "(min " * depth + "X" + ")" * depth + " X)", WSO).left
+    for _ in range(depth):
+        t = t.args[0]
+    assert t == Var("X")
+
+
+def test_grammar_tables_cover_every_node_and_function():
+    assert set(_SHAPE) - set(_HEADS) == {RAtom}
+    assert all(_SHAPE[kind] in _SLOTS for kind in _HEADS)
+    assert len(_KINDS) == len(_HEADS)  # no two node types share a head
+    for sig in SIGNATURES.values():
+        for each in (sig, sig.with_extensions(setminus=True, delta=True)):
+            assert each.functions <= set(ARITY)
 
 
 def test_free_and_all_vars():
