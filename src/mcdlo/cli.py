@@ -29,6 +29,12 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_UNSTABLE = 3
 
+# wso text is read with setminus and delta: the lci-to-wso translation prints
+# setminus and qf_positive_rewrite accepts both.  SIGNATURES["wso"] stays the
+# paper's signature.
+PARSE_SIGNATURES = {**SIGNATURES, "wso": SIGNATURES["wso"].with_extensions(
+    setminus=True, delta=True)}
+
 
 class UsageError(Exception):
     pass
@@ -48,7 +54,7 @@ def _read_formula(args) -> str:
 
 def _parse_formula(args, sig: str):
     try:
-        return parse(_read_formula(args), SIGNATURES[sig])
+        return parse(_read_formula(args), PARSE_SIGNATURES[sig])
     except SyntaxErrorAt as exc:
         raise UsageError(str(exc)) from exc
 

@@ -4,6 +4,8 @@ for formulas over the four signatures used in the toolkit.
 One shared AST is used for every signature; a Signature value records which
 head symbols are legal so translators can be total functions between tags.
 The printer and the parser, one loop with no recursion, share one grammar.
+The parser splits the text once, builds one Var or Const per leaf name and
+finds a character position only for the error it raises.
 """
 
 from __future__ import annotations
@@ -294,80 +296,92 @@ _SLOTS = {_LEAF: "tt", _NOT: "f", _BINARY: "ff", _BINDER: "vf", _PARTITION: "bf"
 _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
 
 
+def _error(text: str, i: int, message: str) -> SyntaxErrorAt:
+    """The SyntaxErrorAt for message at token i of text: at the character
+    where a _TOKEN_RE scan finds that token, or at len(text) for the end of
+    input."""
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)]
+    return SyntaxErrorAt(message, starts[i])
+
+
 def parse(text: str, sig: Signature) -> Formula:
-    """The formula written in text over sig.  One loop builds each node when
-    its ')' arrives, so the depth is not bounded by the recursion limit.  A
-    malformed text raises SyntaxErrorAt at the first offending token."""
-    tokens = [(m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
-    tokens.append((None, len(text)))
+    """The formula written in text over sig.  One loop over the tokens of one
+    str.split (its whitespace is the \\s of _TOKEN_RE) builds each node when
+    its ')' arrives, so the depth is not bounded by the recursion limit, and
+    gives each distinct leaf name one Var or Const.  A malformed text raises
+    SyntaxErrorAt at the first offending token, which _error then places."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    tokens.append(None)
+    leaves = {c: Const(c) for c in sig.constants}  # token -> its one leaf
     stack: list = []  # open nodes: [type or function symbol, slots, children]
     kind, slots, children = None, "f", []  # stands in for the root's parent
     i = 0
     while True:
-        tok, at = tokens[i]
+        tok = tokens[i]
         i += 1
         if tok is None:
-            raise SyntaxErrorAt("unexpected end of input", at)
+            raise _error(text, i - 1, "unexpected end of input")
         n = len(children)
         slot = slots[n] if n < len(slots) else ")"
         if slot == ")":
             if tok != ")":
-                raise SyntaxErrorAt(f"expected ')', found {tok!r}", at)
+                raise _error(text, i - 1, f"expected ')', found {tok!r}")
             node = (App(kind, tuple(children)) if type(kind) is str
                     else kind(*children))
             stack.pop()
             if not stack:
-                if tokens[i][0] is not None:
-                    raise SyntaxErrorAt("trailing input", tokens[i][1])
+                if tokens[i] is not None:
+                    raise _error(text, i, "trailing input")
                 return node
             kind, slots, children = stack[-1]
             children.append(node)
         elif slot == "v":
             if not VAR_RE.match(tok):
-                raise SyntaxErrorAt(f"bad variable token {tok!r}", at)
+                raise _error(text, i - 1, f"bad variable token {tok!r}")
             children.append(tok)
         elif slot == "t" and tok != "(":
-            if tok == ")":
-                raise SyntaxErrorAt("unexpected ')'", at)
-            if tok in sig.constants:
-                children.append(Const(tok))
-            elif VAR_RE.match(tok):
-                children.append(Var(tok))
-            else:
-                raise SyntaxErrorAt(f"unknown token {tok!r}", at)
+            leaf = leaves.get(tok)
+            if leaf is None:
+                if tok == ")":
+                    raise _error(text, i - 1, "unexpected ')'")
+                if not VAR_RE.match(tok):
+                    raise _error(text, i - 1, f"unknown token {tok!r}")
+                leaf = leaves[tok] = Var(tok)
+            children.append(leaf)
         elif tok != "(":
-            raise SyntaxErrorAt(f"expected '(', found {tok!r}", at)
+            raise _error(text, i - 1, f"expected '(', found {tok!r}")
         elif slot == "b":
             blocks = []
-            while tokens[i][0] != ")":
-                tok, at = tokens[i]
+            while tokens[i] != ")":
+                tok = tokens[i]
                 i += 1
                 if tok is None:
-                    raise SyntaxErrorAt("unexpected end of input", at)
+                    raise _error(text, i - 1, "unexpected end of input")
                 if not VAR_RE.match(tok):
-                    raise SyntaxErrorAt(f"bad variable token {tok!r}", at)
+                    raise _error(text, i - 1, f"bad variable token {tok!r}")
                 blocks.append(tok)
             i += 1
             children.append(tuple(blocks))
         else:
-            head, at = tokens[i]
+            head = tokens[i]
             i += 1
             if head is None:
-                raise SyntaxErrorAt("unexpected end of input", at)
+                raise _error(text, i - 1, "unexpected end of input")
             if slot == "t":
                 if head not in ARITY:
-                    raise SyntaxErrorAt(f"unknown function symbol {head!r}", at)
+                    raise _error(text, i - 1,
+                                 f"unknown function symbol {head!r}")
                 if head not in sig.functions:
-                    raise SyntaxErrorAt(
-                        f"function {head!r} not in signature {sig.tag!r}", at)
+                    raise _error(text, i - 1, f"function {head!r} not in "
+                                 f"signature {sig.tag!r}")
                 kind, slots = head, "t" * ARITY[head]
             else:
                 kind = _KINDS.get(head)
                 if kind is None:
-                    raise SyntaxErrorAt(f"unknown formula head {head!r}", at)
+                    raise _error(text, i - 1, f"unknown formula head {head!r}")
                 if _SHAPE[kind] == _LEAF and head not in sig.relations:
-                    raise SyntaxErrorAt(
-                        f"relation {head!r} not in signature {sig.tag!r}", at)
+                    raise _error(text, i - 1, f"relation {head!r} not in "
+                                 f"signature {sig.tag!r}")
                 slots = _SLOTS[_SHAPE[kind]]
             children = []
             stack.append([kind, slots, children])

@@ -1,4 +1,5 @@
 import importlib
+import io
 import json
 import os
 import runpy
@@ -11,7 +12,8 @@ import pytest
 from mcdlo.cli import EXIT_FALSE, EXIT_TRUE, EXIT_UNSTABLE, EXIT_USAGE, main
 from mcdlo.semantics import EvalReport
 from mcdlo.cli import _report_exit
-from mcdlo.syntax import SIGNATURES, is_existential, parse
+from mcdlo.syntax import (SIGNATURES, is_existential, is_positive_existential,
+                          parse)
 
 from conftest import THREE_ATOMS_MINISCOPED, THREE_ATOMS_PRENEX
 
@@ -109,11 +111,63 @@ def test_positive_rewrite_command(capsys):
     code, out, _ = run_cli(capsys, "positive-rewrite",
                            "--formula", "(not (= X bot))")
     assert code == EXIT_TRUE
-    from mcdlo.syntax import is_positive_existential
     assert is_positive_existential(parse(out["formula"], SIGNATURES["wso"]))
     code, _, _ = run_cli(capsys, "positive-rewrite",
                          "--formula", "(exists X (= X bot))")
     assert code == EXIT_USAGE
+
+
+def test_translate_lci_to_wso_output_evaluates(capsys, tmp_path):
+    """What translate --to wso prints (setminus included), eval --sig wso
+    reads, and its verdict is the lci formula's on the coded values."""
+    code, out, _ = run_cli(capsys, "translate", "--from", "lci", "--to", "wso",
+                           "--formula", "(= (max X) Z)")
+    assert code == EXIT_TRUE and "setminus" in out["formula"]
+    translated = tmp_path / "f.txt"
+    translated.write_text(out["formula"])
+    for z, verdict in (("2/3", True), ("1/3", False)):
+        iu = tmp_path / "iu.json"
+        iu.write_text(json.dumps({"X": [["1/3", "2/3"]], "Z": [[z, z]]}))
+        codes = tmp_path / "codes.json"
+        codes.write_text(json.dumps({"X_l": ["1/3"], "X_r": ["2/3"],
+                                     "Z_l": [z], "Z_r": [z]}))
+        code, out, _ = run_cli(capsys, "eval", "--sig", "lci",
+                               "--params", str(iu),
+                               "--formula", "(= (max X) Z)")
+        assert out["verdict"] is verdict
+        code, out, err = run_cli(capsys, "eval", "--sig", "wso",
+                                 "--params", str(codes),
+                                 "--formula-file", str(translated))
+        assert (code, err) == (EXIT_TRUE if verdict else EXIT_FALSE, "")
+        assert out["verdict"] is verdict
+
+
+def test_positive_rewrite_reads_delta(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "positive-rewrite",
+                             "--formula", "(not (= (delta X X) bot))")
+    assert (code, err) == (EXIT_TRUE, "")
+    f = parse(out["formula"], SIGNATURES["wso"])
+    assert is_positive_existential(f)
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"X": ["0/1", "1/2"]}))
+    code, out, _ = run_cli(capsys, "eval", "--sig", "wso", "--budget", "2",
+                           "--params", str(params),
+                           "--formula", out["formula"])
+    assert code == EXIT_FALSE  # X delta X is empty for every X
+
+
+def test_formula_file_layout_is_free(capsys, tmp_path):
+    """A multi-line, tab-indented formula file parses as its one-line text."""
+    one_line = "(exists X (and (= (min X) Y) (not (= X bot))))"
+    laid_out = tmp_path / "f.txt"
+    laid_out.write_text("(exists X\n\t(and (= (min X)\r\n\t\t\tY)\n"
+                        "\t\t(not\t(= X bot))))\n")
+    code, from_file, _ = run_cli(capsys, "parse", "--sig", "wso",
+                                 "--formula-file", str(laid_out))
+    assert code == EXIT_TRUE
+    code, from_text, _ = run_cli(capsys, "parse", "--sig", "wso",
+                                 "--formula", one_line)
+    assert from_file == from_text == {"formula": one_line, "free_vars": ["Y"]}
 
 
 def test_code_check_command(capsys, tmp_path):
@@ -199,6 +253,23 @@ def test_grid_convergence_script_runs(monkeypatch, capsys):
     assert runpy.run_path(str(script))["main"](["--trials", "5"]) == 0
     assert "5 random formulas" in capsys.readouterr().out
     assert "MCDLO_GRID_CAP" not in os.environ
+
+
+def test_query_outputs_script_is_deterministic():
+    """Two runs over the same pass print the same lines, one per query."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / \
+        "query_outputs.py"
+    main_ = runpy.run_path(str(script))["main"]
+    runs = []
+    for _ in range(2):
+        out = io.StringIO()
+        assert main_(["--workload", "l-grid", "--seed", "1", "--pass", "0"],
+                     out=out) == 0
+        runs.append(out.getvalue())
+    lines = [json.loads(line) for line in runs[0].splitlines()]
+    assert runs[0] == runs[1]
+    assert len({line["qid"] for line in lines}) == len(lines) > 0
+    assert all(line["status"] == "ok" for line in lines)
 
 
 def test_traced_bench_entry_points_resolve():

@@ -1,11 +1,13 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcdlo.models import EvalError, MsoFin
 from mcdlo.semantics import bruteforce_eval
 from mcdlo.semantics import BruteForceEvaluator
-from mcdlo.syntax import (_HEADS, _KINDS, _SHAPE, _SLOTS, ARITY, And, App,
-                          Const, Eq, Exists, ExistsPartition, Forall,
+from mcdlo.syntax import (_HEADS, _KINDS, _SHAPE, _SLOTS, _TOKEN_RE, ARITY,
+                          And, App, Const, Eq, Exists, ExistsPartition, Forall,
                           FreshVars, Implies, LtEAtom, Not, Or, RAtom,
                           SIGNATURES, SubsetAtom,
                           SyntaxErrorAt, Var, all_vars, free_vars,
@@ -159,6 +161,70 @@ def test_grammar_tables_cover_every_node_and_function():
     for sig in SIGNATURES.values():
         for each in (sig, sig.with_extensions(setminus=True, delta=True)):
             assert each.functions <= set(ARITY)
+
+
+# whitespace that str.split and the regex \s both take as a separator,
+# beyond the ASCII space: controls, file separator, no-break, em and
+# ideographic spaces
+WHITESPACE = " \t\n\r\x0b\x0c\x1c\u00a0\u2003\u3000"
+PAREN = ("(", ")")
+
+
+def _laid_out(data, tokens):
+    """tokens joined by drawn whitespace runs (non-empty between two names,
+    any run elsewhere and at both ends), and the start of each token."""
+    needs = [0] + [int(a not in PAREN and b not in PAREN)
+                   for a, b in zip(tokens, tokens[1:])] + [0]
+    runs = data.draw(st.tuples(*[st.text(WHITESPACE, min_size=n, max_size=3)
+                                 for n in needs]))
+    text, starts = runs[0], []
+    for tok, run in zip(tokens, runs[1:]):
+        starts.append(len(text))
+        text += tok + run
+    return text, starts
+
+
+@settings(deadline=None)
+@given(formulas, st.data())
+def test_any_whitespace_layout_parses_alike(f, data):
+    text, _ = _laid_out(data, _TOKEN_RE.findall(print_formula(f)))
+    assert parse(text, WSO) == f
+
+
+@settings(deadline=None)
+@given(formulas, st.data())
+def test_error_positions_are_token_starts(f, data):
+    """Edited token lists raise SyntaxErrorAt at len(text) or at the start
+    of the offending token."""
+    tokens = _TOKEN_RE.findall(print_formula(f))
+    for _ in range(data.draw(st.integers(1, 3))):
+        edit = data.draw(st.sampled_from(["delete", "insert", "truncate"]))
+        at = data.draw(st.integers(0, len(tokens)))
+        if edit == "delete" and at < len(tokens):
+            del tokens[at]
+        elif edit == "insert":
+            tokens.insert(at, data.draw(st.sampled_from(
+                ["(", ")", "X", "foo", "bot", "min", "and", "exists",
+                 "exists-partition", "zerostar", "1x", "="])))
+        else:
+            tokens = tokens[:at]
+    text, starts = _laid_out(data, tokens)
+    try:
+        parse(text, WSO)
+    except SyntaxErrorAt as err:
+        message = str(err).rsplit(" (at position ", 1)[0]
+        if message == "unexpected end of input":
+            assert err.position == len(text)
+            return
+        # any other error is at the start of the token it names
+        tok = tokens[starts.index(err.position)]
+        if message == "trailing input":
+            parse(text[:err.position], WSO)  # a whole formula comes before
+        elif message == "unexpected ')'":
+            assert tok == ")"
+        else:
+            named = re.findall(r"'([^']*)'", message)
+            assert tok == named[-1 if "found" in message else 0]
 
 
 def test_free_and_all_vars():
