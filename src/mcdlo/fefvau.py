@@ -392,39 +392,29 @@ class ParameterTranslation:
                 "stabilized": self.stabilized}
 
 
-def _power_formula(phi: Formula) -> Formula:
-    """Replace MO atoms by power atoms; terms must be variables (constants
-    are pre-normalised away by the caller)."""
+def _power_formula(phi: Formula, fresh: FreshVars) -> tuple[Formula, dict]:
+    """Replace MO atoms by power atoms, and the bot/zero constants in them by
+    pseudo-parameter variables, the parameters whose index values are bot
+    and zero; returns the formula and the map from constant names to
+    variable names."""
     seqs = atomic_sequences()
     names = {Eq: "=", SubsetAtom: "subset", LtEAtom: "ltE"}
+    pseudo: dict[str, str] = {}
 
     def term_name(t) -> str:
         if isinstance(t, Var):
             return t.name
-        raise EvalError(f"parameter pipeline needs variable atoms, got {t!r}")
-
-    return map_atoms(phi, lambda g: RAtom(seqs[names[type(g)]],
-                                          (term_name(g.left),
-                                           term_name(g.right))))
-
-
-def _strip_constants(phi: Formula, fresh: FreshVars):
-    """Replace bot/zero constants in atoms by pseudo-parameter variables, the
-    parameters whose index values are bot and zero; returns the formula and
-    the map from constant names to variable names."""
-    pseudo: dict[str, str] = {}
-
-    def handle_term(t):
         if isinstance(t, Const):
             if t.name not in ("bot", "zero"):
                 raise EvalError(f"constant {t.name!r} unsupported here")
             if t.name not in pseudo:
                 pseudo[t.name] = fresh.fresh("Xp")
-            return Var(pseudo[t.name])
-        return t
+            return pseudo[t.name]
+        raise EvalError(f"parameter pipeline needs variable atoms, got {t!r}")
 
-    return map_atoms(phi, lambda g: type(g)(handle_term(g.left),
-                                            handle_term(g.right))), pseudo
+    return map_atoms(phi, lambda g: RAtom(seqs[names[type(g)]],
+                                          (term_name(g.left),
+                                           term_name(g.right)))), pseudo
 
 
 def _psi_counts(f: Formula) -> tuple[int, int]:
@@ -471,9 +461,8 @@ def translate_with_parameters(
     if oracle is None:
         oracle = default_sentence_oracle
     fresh = FreshVars(all_vars(phi) | set(params), prefix="Xp")
-    stripped, pseudo = _strip_constants(phi, fresh)
+    phi_pi, pseudo = _power_formula(phi, fresh)
     all_params = params + tuple(pseudo.values())
-    phi_pi = _power_formula(stripped)
 
     sentences: list[Formula] = []
     reports: list[EvalReport] = []

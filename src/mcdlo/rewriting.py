@@ -6,9 +6,9 @@ Five families of rewriting live here:
   order signature (subset / order-between-members) and the two functional
   signatures (finite-powerset and finite-subsets-of-I).
 * `qf_positive_rewrite` — quantifier-free formulas over W(I) become positive
-  existential formulas: negated equations are replaced by a nonemptiness
-  witness inside the symmetric difference, and the difference operators are
-  then eliminated through their lattice characterisations.
+  existential formulas: the difference operators are eliminated through
+  their lattice characterisations, and negated equations are then replaced
+  by a nonemptiness witness inside the symmetric difference.
 * `w_in_l_translate` / `l_in_w_translate` — the two-way interpretation
   between W(I) and the interval-union structure L(I), via the finite-set
   predicate l(X) = r(X) in one direction and endpoint codes in the other.
@@ -17,6 +17,9 @@ Five families of rewriting live here:
   and the positive rewriting of W(I).
 * `relativize` — quantifiers of an MO formula are guarded to range over the
   subsets of a set or the finite sets inside a window.
+
+The quantifier-free rewriters map literals: `_literals` is the one polarity
+walk, and `_unfold_differences` the one term map for differences.
 """
 
 from __future__ import annotations
@@ -26,13 +29,12 @@ from functools import cache
 from typing import Optional
 
 from .order import FinSet, IntervalUnion
-from .syntax import (ATOM_TYPES, FO_CONNECTIVES, And, App, Const, Eq,
-                     EvalError, Exists, Forall, Formula, FreshVars, Implies,
-                     LtEAtom, Not, Or, SignatureError, SubsetAtom,
-                     Term, Var, all_vars, and_all, formula_ops,
-                     innermost_app, is_positive_existential,
-                     is_quantifier_free, map_atoms, map_children, or_all,
-                     replace_subterm, substitute, unnest)
+from .syntax import (ATOM_TYPES, And, App, Const, Eq, EvalError, Exists,
+                     Forall, Formula, FreshVars, Implies, LtEAtom, Not, Or,
+                     SignatureError, SubsetAtom, Term, Var, all_vars, and_all,
+                     formula_ops, is_existential, is_positive_existential,
+                     is_quantifier_free, map_atoms, or_all, substitute,
+                     unnest)
 
 
 # ---------------------------------------------------------------------------
@@ -51,10 +53,6 @@ def _union(*ts: Term) -> Term:
 
 def _inter(a: Term, b: Term) -> Term:
     return App("inter", (a, b))
-
-
-def _minus(a: Term, b: Term) -> Term:
-    return App("setminus", (a, b))
 
 
 def _min(a: Term) -> Term:
@@ -90,17 +88,19 @@ def notbot_formula(t: Term) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Negation normal form (quantifier-aware, used by several rewriters)
+# Literals: negation normal form, with each literal mapped on the way
 
 _DUAL = {And: Or, Or: And, Exists: Forall, Forall: Exists}
 
 
-def nnf(f: Formula) -> Formula:
-    """Push negations down to atoms and expand implications."""
+def _literals(f: Formula, literal) -> Formula:
+    """f with negations pushed down to the atoms and implications expanded,
+    each atom a replaced by literal(a, negated), left to right; quantifiers
+    pass through, dualised under a negation."""
     def walk(g: Formula, negated: bool) -> Formula:
         kind = type(g)
         if kind in ATOM_TYPES:
-            return Not(g) if negated else g
+            return literal(g, negated)
         if kind is Not:
             return walk(g.body, not negated)
         if kind is Implies:  # (not a) or b
@@ -117,26 +117,13 @@ def nnf(f: Formula) -> Formula:
     return walk(f, False)
 
 
+def nnf(f: Formula) -> Formula:
+    """Push negations down to atoms and expand implications."""
+    return _literals(f, lambda a, negated: Not(a) if negated else a)
+
+
 # ---------------------------------------------------------------------------
 # Positive existential rewriting over W(I)
-
-def _rewrite_terms(f: Formula, rewriter) -> Formula:
-    def go_term(t: Term) -> Term:
-        if isinstance(t, App):
-            return rewriter(App(t.op, tuple(go_term(a) for a in t.args)))
-        return t
-
-    return map_atoms(f, lambda g: type(g)(go_term(g.left), go_term(g.right)))
-
-
-def _expand_delta(f: Formula) -> Formula:
-    def rw(t: App) -> Term:
-        if t.op == "delta":
-            a, b = t.args
-            return _union(_minus(a, b), _minus(b, a))
-        return t
-    return _rewrite_terms(f, rw)
-
 
 def _setminus_witness(a: Term, b: Term, c: Term) -> Formula:
     """c = a minus b, characterised without difference: c fills a up from
@@ -144,63 +131,71 @@ def _setminus_witness(a: Term, b: Term, c: Term) -> Formula:
     return And(Eq(_union(_inter(a, b), c), a), Eq(_inter(b, c), BOT))
 
 
-def _eliminate_setminus(f: Formula, fresh: FreshVars) -> Formula:
-    """Replace each difference subterm, innermost first, by an existential
-    witness.  The witness quantifier is hoisted outside a negated atom (the
-    witness is functionally determined, so polarity does not matter)."""
-    def literal(g: Formula) -> Formula:
-        atom = g.body if isinstance(g, Not) else g
-        target = (innermost_app(atom.left, "setminus")
-                  or innermost_app(atom.right, "setminus"))
-        if target is None:
-            return g
-        a, b = target.args
-        c = fresh.fresh("C")
-        rewritten = type(atom)(replace_subterm(atom.left, target, Var(c)),
-                               replace_subterm(atom.right, target, Var(c)))
-        if isinstance(g, Not):
-            rewritten = Not(rewritten)
-        return Exists(c, And(_setminus_witness(a, b, Var(c)),
-                             literal(rewritten)))
+def _unfold_differences(literal: Formula, fresh: FreshVars) -> Formula:
+    """literal, an atom or a negated atom, with its differences unfolded:
+    each symmetric difference becomes two differences, and each difference,
+    innermost and leftmost first, an existential witness C shared by equal
+    differences.  The first witness is the outermost, and each wraps the
+    whole literal, since it is functionally determined."""
+    atom = literal.body if type(literal) is Not else literal
+    witnesses: dict[tuple[Term, Term], str] = {}
 
-    def go(g: Formula) -> Formula:
-        if isinstance(g, ATOM_TYPES) or (isinstance(g, Not)
-                                         and isinstance(g.body, ATOM_TYPES)):
-            return literal(g)
-        if isinstance(g, FO_CONNECTIVES):
-            return map_children(g, go)
-        raise EvalError(f"cannot rewrite {g!r}")
+    def minus(a: Term, b: Term) -> Term:
+        c = witnesses.get((a, b))
+        if c is None:
+            c = witnesses[a, b] = fresh.fresh("C")
+        return Var(c)
 
-    return go(f)
+    def term(t: Term) -> Term:
+        if type(t) is not App:
+            return t
+        args = tuple([term(a) for a in t.args])
+        if t.op == "setminus":
+            return minus(*args)
+        if t.op == "delta":
+            a, b = args
+            return _union(minus(a, b), minus(b, a))
+        return App(t.op, args)
+
+    out: Formula = type(atom)(term(atom.left), term(atom.right))
+    if atom is not literal:
+        out = Not(out)
+    for (a, b), c in reversed(witnesses.items()):
+        out = Exists(c, And(_setminus_witness(a, b, Var(c)), out))
+    return out
 
 
 def qf_positive_rewrite(f: Formula) -> Formula:
     """Positive existential equivalent over W(I) of a quantifier-free formula
     (difference and symmetric-difference extensions allowed in the input).
 
-    A negated equation becomes the existence of a nonempty subset of the
-    symmetric difference of its sides; the differences are then unfolded into
-    their existential lattice witnesses, outermost so that each quantifier
-    carries its defining constraints as top-level conjuncts."""
+    The differences of each literal are first unfolded into their existential
+    lattice witnesses, each quantifier carrying its defining constraints as
+    top-level conjuncts; then a negated equation becomes the existence of a
+    nonempty subset of the symmetric difference of its sides.  Quantifiers
+    of an existential input pass through."""
+    if not is_existential(f):
+        raise EvalError(f"not existential over W(I): {f!r}")
     fresh = FreshVars(all_vars(f))
-    g = _eliminate_setminus(_expand_delta(nnf(f)), fresh)
+    unfolded = _literals(f, lambda a, negated: _unfold_differences(
+        Not(a) if negated else a, fresh))
 
-    def drop_negations(h: Formula) -> Formula:
-        if isinstance(h, Not):
-            if not isinstance(h.body, Eq):
-                raise EvalError(f"unexpected negated atom {h.body!r} over W(I)")
-            q1, q2 = h.body.left, h.body.right
-            c1, c2, y = fresh.fresh("C"), fresh.fresh("C"), fresh.fresh("Y")
-            inhabit = And(notbot_formula(Var(y)),
-                          Eq(_inter(Var(y), _union(Var(c1), Var(c2))), Var(y)))
-            return Exists(c1, And(_setminus_witness(q1, q2, Var(c1)),
-                                  Exists(c2, And(_setminus_witness(q2, q1, Var(c2)),
-                                                 Exists(y, inhabit)))))
-        if isinstance(h, (Eq, And, Or, Exists)):
-            return map_children(h, drop_negations)
-        raise EvalError(f"not quantifier-free over W(I): {h!r}")
+    def positive(a: Formula, negated: bool) -> Formula:
+        if type(a) is not Eq:
+            raise EvalError(f"W(I) formulas have equational atoms, got {a!r}")
+        if not negated:
+            return a
+        c1, c2, y = fresh.fresh("C"), fresh.fresh("C"), fresh.fresh("Y")
+        inhabit = And(notbot_formula(Var(y)),
+                      Eq(_inter(Var(y), _union(Var(c1), Var(c2))), Var(y)))
+        return Exists(c1, And(_setminus_witness(a.left, a.right, Var(c1)),
+                              Exists(c2, And(_setminus_witness(a.right, a.left,
+                                                               Var(c2)),
+                                             Exists(y, inhabit)))))
 
-    return drop_negations(g)
+    # two passes, so every difference witness is named before the first
+    # negated equation's
+    return _literals(unfolded, positive)
 
 
 def is_positive_wso(f: Formula) -> bool:
@@ -405,6 +400,8 @@ def defeq_translate(f: Formula, src: str, dst: str) -> Formula:
     if src == "mo" and dst in ("msofin", "wso"):
         return _mo_to_functional(f, dst, fresh)
     if src in ("msofin", "wso") and dst == "mo":
+        if src == "wso":  # W(I) text may use the difference extensions
+            f = map_atoms(f, lambda a: _unfold_differences(a, fresh))
         return _functional_to_mo(f, src, fresh)
     raise SignatureError(f"no definitional translation {src} -> {dst}")
 
@@ -763,23 +760,20 @@ def lci_existential_rewrite(f: Formula) -> Formula:
     """Existential equivalent over L(I) of a quantifier-free formula: positive
     atoms pass through, and each negated equation becomes the statement that
     the endpoint codes differ, routed through the positive W(I) rewriting."""
+    if not is_quantifier_free(f):
+        raise EvalError(f"not quantifier-free over L(I): {f!r}")
     template = _neq_template()
 
     def differ(s: Term, t: Term) -> Formula:
         return substitute(template, {"Uneq": s, "Vneq": t})
 
-    def neq(q1: Term, q2: Term) -> Formula:
+    def literal(a: Formula, negated: bool) -> Formula:
+        if type(a) is not Eq:
+            raise EvalError(f"L(I) formulas have equational atoms, got {a!r}")
+        if not negated:
+            return a
         # interval unions differ exactly when their endpoint codes differ
-        return Or(differ(App("l", (q1,)), App("l", (q2,))),
-                  differ(App("r", (q1,)), App("r", (q2,))))
+        return Or(differ(App("l", (a.left,)), App("l", (a.right,))),
+                  differ(App("r", (a.left,)), App("r", (a.right,))))
 
-    def go(g: Formula) -> Formula:
-        if isinstance(g, Not):
-            if not isinstance(g.body, Eq):
-                raise EvalError(f"unexpected negated atom {g.body!r} over L(I)")
-            return neq(g.body.left, g.body.right)
-        if isinstance(g, (Eq, And, Or)):
-            return map_children(g, go)
-        raise EvalError(f"not quantifier-free over L(I): {g!r}")
-
-    return go(nnf(f))
+    return _literals(f, literal)

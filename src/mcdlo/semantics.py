@@ -268,7 +268,7 @@ def _grid_formula(self, f: Formula, env: dict) -> bool:
         return (not self.formula(f.left, env)) or self.formula(f.right, env)
     if kind is Exists or kind is Forall:
         hit = self.analysed.get(id(f))
-        if hit is None or hit[0] is not f:
+        if hit is None:
             hit = self.analyse(f)
         _, split, plan = hit
         if split is not None:
@@ -355,11 +355,12 @@ class _MaskEvaluator:
 
     def analyse(self, q: Formula) -> tuple:
         """(q, split, plan) for a quantifier node, stored in `analysed` under
-        q's identity (hashing a node walks its subtree): a block whose split
-        moves a conjunct gets the split and no plan, any other quantifier
-        its pruning plan and no split.  The dict may be shared by the
-        evaluators of every budget of one query, since none of this depends
-        on the grid."""
+        q's identity (hashing a node walks its subtree).  The entry holds q
+        and so keeps it alive: no other live node can share its id, and a
+        hit on id(q) is always q's own entry.  A block whose split moves a
+        conjunct gets the split and no plan, any other quantifier its pruning
+        plan and no split.  The dict may be shared by the evaluators of every
+        budget of one query, since none of this depends on the grid."""
         if type(q) is ExistsPartition:
             entry = (q, None, _partition_plan(q))
         else:
@@ -432,7 +433,7 @@ class BruteForceEvaluator(_MaskEvaluator):
         block variables, prune the per-point block choices; the body is split
         into those bounds and the rest once per node (`analyse`)."""
         hit = self.analysed.get(id(f))
-        if hit is None or hit[0] is not f:
+        if hit is None:
             hit = self.analyse(f)
         bounded, rest = hit[2]
         blocks = f.block_vars

@@ -576,28 +576,6 @@ def atom_is_unnested(f: Formula) -> bool:
     return _app_count(f.left) + _app_count(f.right) <= 1
 
 
-def innermost_app(t: Term, op: Optional[str] = None):
-    """Leftmost App subterm (with the given op, if one is given) none of whose
-    arguments contains such an App, or None."""
-    if isinstance(t, App):
-        for a in t.args:
-            found = innermost_app(a, op)
-            if found is not None:
-                return found
-        if op is None or t.op == op:
-            return t
-    return None
-
-
-def replace_subterm(t: Term, target: Term, replacement: Term) -> Term:
-    if t == target:
-        return replacement
-    if isinstance(t, App):
-        return App(t.op, tuple(replace_subterm(a, target, replacement)
-                               for a in t.args))
-    return t
-
-
 def unnest_atom(f: Formula, fresh: FreshVars) -> Formula:
     """Hoist nested function applications out of an atomic formula using
     existentially quantified auxiliaries, preserving truth in every structure.
@@ -637,14 +615,8 @@ def unnest_atom(f: Formula, fresh: FreshVars) -> Formula:
 def unnest(f: Formula, fresh: FreshVars) -> Formula:
     """Equivalent formula in which every atomic subformula holds at most one
     function symbol, the rest being variables and constants; auxiliaries are
-    named by `fresh`."""
-
-    def go(g: Formula) -> Formula:
-        if isinstance(g, ATOM_TYPES):
-            return unnest_atom(g, fresh)
-        return map_children(g, go)
-
-    return go(f)
+    named by `fresh`.  First-order input only, as for `map_atoms`."""
+    return map_atoms(f, lambda g: unnest_atom(g, fresh))
 
 
 def is_unnested(f: Formula) -> bool:

@@ -1,21 +1,26 @@
 import importlib
 import io
+import itertools
 import json
 import os
 import runpy
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from mcdlo.cli import EXIT_FALSE, EXIT_TRUE, EXIT_UNSTABLE, EXIT_USAGE, main
-from mcdlo.semantics import EvalReport
+from mcdlo.cli import (EXIT_FALSE, EXIT_TRUE, EXIT_UNSTABLE, EXIT_USAGE,
+                       PARSE_SIGNATURES, main)
+from mcdlo.models import WsoStructure, eval_qf, restrict
+from mcdlo.order import FinSet
+from mcdlo.semantics import EvalReport, bruteforce_eval
 from mcdlo.cli import _report_exit
 from mcdlo.syntax import (SIGNATURES, is_existential, is_positive_existential,
                           parse)
 
-from conftest import THREE_ATOMS_MINISCOPED, THREE_ATOMS_PRENEX
+from conftest import THREE_ATOMS_MINISCOPED, THREE_ATOMS_PRENEX, subsets_of
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +104,30 @@ def test_translate_defeq_pair(capsys):
                            "--formula", "(ltE X Y)")
     assert code == EXIT_TRUE
     parse(out["formula"], SIGNATURES["wso"])  # well-formed in the target
+
+
+@pytest.mark.parametrize("text", [
+    "(= (setminus X Y) bot)",
+    "(not (= (delta X Y) (setminus Y X)))",
+    "(= (min (setminus X Y)) (max (delta Y X)))",
+])
+def test_translate_wso_differences_to_mo(capsys, text):
+    """translate --from wso --to mo reads setminus and delta, as the wso
+    parser does, and its MO image agrees with the W(I) formula on every pair
+    of subsets of {0, 1/2}."""
+    code, out, err = run_cli(capsys, "translate", "--from", "wso",
+                             "--to", "mo", "--formula", text)
+    assert (code, err) == (EXIT_TRUE, "")
+    f = parse(text, PARSE_SIGNATURES["wso"])
+    translated = parse(out["formula"], SIGNATURES["mo"])
+    region = FinSet.of(Fraction(0), Fraction(1, 2))
+    er = restrict(WsoStructure(), region)
+    subsets = subsets_of(region.points)
+    for x, y in itertools.product(subsets, repeat=2):
+        asg = {"X": x, "Y": y}
+        got = bruteforce_eval(er.msofin(), translated,
+                              {k: er.to_msofin(v) for k, v in asg.items()})
+        assert got == eval_qf(WsoStructure(), f, asg), asg
 
 
 def test_translate_unsupported_pair(capsys):
@@ -270,6 +299,21 @@ def test_query_outputs_script_is_deterministic():
     assert runs[0] == runs[1]
     assert len({line["qid"] for line in lines}) == len(lines) > 0
     assert all(line["status"] == "ok" for line in lines)
+
+
+def test_query_outputs_do_not_depend_on_the_hash_seed():
+    """Every translator's fresh names come out the same whatever the string
+    hashing of the process, so dict and set order cannot leak into them."""
+    root = Path(__file__).resolve().parent.parent
+    outputs = []
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        run = subprocess.run(
+            [sys.executable, str(root / "scripts" / "query_outputs.py"),
+             "--workload", "translate", "--seed", "1", "--pass", "0"],
+            env=env, capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_traced_bench_entry_points_resolve():

@@ -24,7 +24,7 @@ from mcdlo.semantics import bruteforce_eval, stabilize
 from mcdlo.syntax import (And, App, Const, Eq, Not, Or,
                           SIGNATURES, Var, formula_ops, free_vars,
                           is_existential, is_positive_existential, parse,
-                          print_formula)
+                          print_formula, substitute)
 
 from conftest import POOL3, POOL4, subsets_of
 
@@ -112,6 +112,53 @@ def test_positive_rewrite_handles_extensions():
             rep = stabilize("w", out, asg, kmax=3)
             assert rep.stabilized
             assert rep.verdict == (x.minus(y) != x.delta(y)), asg
+
+
+def test_positive_rewrite_pins_witness_order_and_sharing():
+    """Differences get their witnesses C innermost and leftmost first, one
+    per distinct difference of a literal, in every literal before the first
+    negated equation's C, C, Y; each literal's witnesses wrap it, the first
+    outermost.  The text was printed by the rewriter before it became a map
+    over literals."""
+    sig = SIGNATURES["wso"].with_extensions(setminus=True, delta=True)
+    f = parse("(and (not (= (setminus (setminus X Y) Z) (delta X Y))) "
+              "(= (setminus X Y) (inter (setminus X Y) Z)))", sig)
+    assert print_formula(qf_positive_rewrite(f)) == (
+        "(and (exists C1 (and (and (= (union (inter X Y) C1) X) "
+        "(= (inter Y C1) bot)) (exists C2 (and (and (= (union (inter C1 Z) "
+        "C2) C1) (= (inter Z C2) bot)) (exists C3 (and (and (= (union "
+        "(inter Y X) C3) Y) (= (inter X C3) bot)) (exists C5 (and (and "
+        "(= (union (inter C2 (union C1 C3)) C5) C2) (= (inter (union C1 C3) "
+        "C5) bot)) (exists C6 (and (and (= (union (inter (union C1 C3) C2) "
+        "C6) (union C1 C3)) (= (inter C2 C6) bot)) (exists Y7 (and (or "
+        "(= Y7 zero) (= (inter zero (msinv (union Y7 zero) Y7)) zero)) "
+        "(= (inter Y7 (union C5 C6)) Y7))))))))))))) (exists C4 (and (and "
+        "(= (union (inter X Y) C4) X) (= (inter Y C4) bot)) "
+        "(= C4 (inter C4 Z)))))")
+
+
+# inputs outside each rewriter's fragment: a universal quantifier, a negated
+# existential, subset atoms of either polarity, and for the L(I) rewriter,
+# which takes quantifier-free input only, an existential quantifier
+OUTSIDE_FRAGMENT = [
+    ("qf_positive_rewrite", "(forall X (= X Y))"),
+    ("qf_positive_rewrite", "(not (exists X (= X Y)))"),
+    ("qf_positive_rewrite", "(subset X Y)"),
+    ("qf_positive_rewrite", "(not (subset X Y))"),
+    ("lci_existential_rewrite", "(forall X (= X Y))"),
+    ("lci_existential_rewrite", "(not (exists X (= X Y)))"),
+    ("lci_existential_rewrite", "(subset X Y)"),
+    ("lci_existential_rewrite", "(not (subset X Y))"),
+    ("lci_existential_rewrite", "(exists X (= X Y))"),
+]
+
+
+@pytest.mark.parametrize("name,text", OUTSIDE_FRAGMENT)
+def test_rewriters_reject_input_outside_their_fragment(name, text):
+    rewrite = {"qf_positive_rewrite": qf_positive_rewrite,
+               "lci_existential_rewrite": lci_existential_rewrite}[name]
+    with pytest.raises(EvalError):
+        rewrite(parse(text, SIGNATURES["mo"]))
 
 
 # -- definitional equivalences -----------------------------------------------
@@ -278,6 +325,25 @@ def test_lci_existential_rewrite_is_the_same_on_every_call():
     assert _neq_template() is _neq_template()
     assert print_formula(lci_existential_rewrite(f)) == first
     assert free_vars(_neq_template()) == {"Uneq", "Vneq"}
+
+
+def test_lci_existential_rewrite_pins_implications():
+    """An implication's antecedent flips polarity: a negated one passes
+    through as an equation, a positive one becomes the code inequation.  The
+    first text was printed by the rewriter before it became a map over
+    literals."""
+    f = parse("(implies (not (= (min X) Y)) (= (l X) (r Y)))",
+              SIGNATURES["lci"])
+    assert print_formula(lci_existential_rewrite(f)) == \
+        "(or (= (min X) Y) (= (l X) (r Y)))"
+    f = parse("(implies (= X Y) (= (l X) bot))", SIGNATURES["lci"])
+
+    def differ(end):
+        return substitute(_neq_template(), {"Uneq": App(end, (Var("X"),)),
+                                            "Vneq": App(end, (Var("Y"),))})
+    assert lci_existential_rewrite(f) == Or(
+        Or(differ("l"), differ("r")),
+        Eq(App("l", (Var("X"),)), Const("bot")))
 
 
 def test_lci_existential_rewrite_inequation_sampled():
