@@ -243,20 +243,19 @@ def _succ_mo(z: Term, zp: Term, fresh: FreshVars,
                                       LtEAtom(Var(w), zp)]))))
 
 
-def _union_mo(u1: Term, u2: Term, v: Term, fresh: FreshVars) -> Formula:
+def _lattice_mo(u1: Term, u2: Term, v: Term, fresh: FreshVars,
+                join: bool) -> Formula:
+    """v is the union (else the intersection) of u1 and u2: their least
+    upper (else greatest lower) bound under inclusion."""
     w = fresh.fresh("W")
-    return and_all([SubsetAtom(u1, v), SubsetAtom(u2, v),
-                    Forall(w, Implies(And(SubsetAtom(u1, Var(w)),
-                                          SubsetAtom(u2, Var(w))),
-                                      SubsetAtom(v, Var(w))))])
 
+    def below(a: Term, b: Term) -> Formula:
+        return SubsetAtom(a, b) if join else SubsetAtom(b, a)
 
-def _inter_mo(u1: Term, u2: Term, v: Term, fresh: FreshVars) -> Formula:
-    w = fresh.fresh("W")
-    return and_all([SubsetAtom(v, u1), SubsetAtom(v, u2),
-                    Forall(w, Implies(And(SubsetAtom(Var(w), u1),
-                                          SubsetAtom(Var(w), u2)),
-                                      SubsetAtom(Var(w), v)))])
+    return and_all([below(u1, v), below(u2, v),
+                    Forall(w, Implies(And(below(u1, Var(w)),
+                                          below(u2, Var(w))),
+                                      below(v, Var(w))))])
 
 
 def _extreme_mo(u: Term, v: Term, fresh: FreshVars, least: bool) -> Formula:
@@ -271,27 +270,18 @@ def _extreme_mo(u: Term, v: Term, fresh: FreshVars, least: bool) -> Formula:
     return Or(And(Eq(u, BOT), Eq(v, BOT)), proper)
 
 
-def _sinv_mo(u: Term, v: Term, fresh: FreshVars) -> Formula:
-    """v = preimage of u under the global successor, atom by atom."""
+def _preimage_mo(u: Term, v: Term, fresh: FreshVars,
+                 within: Optional[Term] = None) -> Formula:
+    """v = preimage of u under the successor, atom by atom: the global one,
+    or the successor inside `within` among the members of `within`."""
     z = fresh.fresh("Z")
     zp = fresh.fresh("Z")
-    member = Exists(zp, and_all([at_mo(Var(zp), fresh),
+    inside = [] if within is None else [SubsetAtom(Var(zp), within)]
+    member = Exists(zp, and_all([at_mo(Var(zp), fresh), *inside,
                                  SubsetAtom(Var(zp), u),
-                                 _succ_mo(Var(z), Var(zp), fresh)]))
-    return Forall(z, Implies(at_mo(Var(z), fresh),
-                             And(Implies(SubsetAtom(Var(z), v), member),
-                                 Implies(member, SubsetAtom(Var(z), v)))))
-
-
-def _msinv_mo(u1: Term, u2: Term, v: Term, fresh: FreshVars) -> Formula:
-    """v = members of u1 whose successor within u1 lies in u2, atom by atom."""
-    z = fresh.fresh("Z")
-    zp = fresh.fresh("Z")
-    member = And(SubsetAtom(Var(z), u1),
-                 Exists(zp, and_all([at_mo(Var(zp), fresh),
-                                     SubsetAtom(Var(zp), u1),
-                                     SubsetAtom(Var(zp), u2),
-                                     _succ_mo(Var(z), Var(zp), fresh, u1)])))
+                                 _succ_mo(Var(z), Var(zp), fresh, within)]))
+    if within is not None:
+        member = And(SubsetAtom(Var(z), within), member)
     return Forall(z, Implies(at_mo(Var(z), fresh),
                              And(Implies(SubsetAtom(Var(z), v), member),
                                  Implies(member, SubsetAtom(Var(z), v)))))
@@ -370,16 +360,14 @@ def _functional_atom_to_mo(g: Formula, src: str, fresh: FreshVars) -> Formula:
     else:
         args = [leaf(a) for a in app.args]
         v = leaf(other)
-        if app.op == "union":
-            core = _union_mo(args[0], args[1], v, fresh)
-        elif app.op == "inter":
-            core = _inter_mo(args[0], args[1], v, fresh)
+        if app.op in ("union", "inter"):
+            core = _lattice_mo(args[0], args[1], v, fresh, app.op == "union")
         elif app.op in ("min", "max"):
             core = _extreme_mo(args[0], v, fresh, app.op == "min")
         elif app.op == "sinv" and src == "msofin":
-            core = _sinv_mo(args[0], v, fresh)
+            core = _preimage_mo(args[0], v, fresh)
         elif app.op == "msinv" and src == "wso":
-            core = _msinv_mo(args[0], args[1], v, fresh)
+            core = _preimage_mo(args[1], v, fresh, args[0])
         else:
             raise EvalError(f"function {app.op!r} not part of {src}")
     for u, definition in reversed(hoists):
@@ -602,14 +590,10 @@ def code_to_interval_union(b: FinSet, c: FinSet) -> IntervalUnion:
 # ---------------------------------------------------------------------------
 # L(I) inside W(I), on endpoint codes
 
-def _boundary(xl: Term, xr: Term) -> Term:
-    return _union(xl, xr)
-
-
 def phi_mem(xl: Term, xr: Term, z: Term) -> Formula:
     """Membership of the singleton z in the interval union coded by
     (xl, xr), expressed over W(I) with the difference extension."""
-    bdr = _boundary(xl, xr)
+    bdr = _union(xl, xr)
     bz = _union(bdr, z)
     between = And(_subset_eq(_msinv(bz, z), App("setminus", (xl, xr))),
                   _nonempty(_inter(_msinv(bz, App("setminus", (xr, xl))), z)))
@@ -655,7 +639,7 @@ def code_ok_formula(b: Term, c: Term) -> Formula:
 def _max_code_formula(xl: Term, xr: Term, zl: Term, zr: Term) -> Formula:
     """Graph of max on codes: bot for empty or unbounded input, else the
     singleton on the largest endpoint."""
-    bdr = _boundary(xl, xr)
+    bdr = _union(xl, xr)
     unbounded_or_empty = Or(Eq(xl, BOT),
                             _subset_eq(_max(bdr), App("setminus", (xl, xr))))
     m = _max(bdr)

@@ -238,6 +238,7 @@ QUANTIFIER_BLOCKS = [
      "(implies (not (= A bot)) (forall X (implies (= (inter X A) X) "
      "(forall Y (implies (= (inter Y B) Y) (= (max (union X Y)) "
      "(max (union A B))))))))"),
+    ("(forall X (forall Y (= (inter A B) A)))", "(= (inter A B) A)"),
 ]
 
 

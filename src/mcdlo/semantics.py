@@ -14,15 +14,16 @@ bitmasks, and one mask kernel evaluates all three: a structure is a
 constant table (the masks of its constants) and an op table (its function
 symbols as functions on masks), searched by one quantifier loop; the
 value-level structures of `models` stay as exact references.  The loop
-prunes each quantified variable by the conjuncts of its quantifier's body; a
-quantifier block (∃X∃Y… or ∀X∀Y…) is split so that each conjunct sits under
-the last block variable it mentions.  The split and the pruning plan of a
-quantifier depend on the formula alone, so one query (`grid_eval`,
-`stabilize`) analyses each quantifier node once, and the evaluators of all
-its budgets share the analysis.  Verdicts carry a stabilization flag
-comparing budgets k and k+1; stability is a heuristic, evidence but not
-proof of the true verdict (the three-atoms sentence of the tests stabilizes
-on a wrong false).
+prunes each quantified variable by its quantifier's guards (`_guards`: the
+conjuncts of an ∃ body, of a ∀ body's antecedent); a quantifier block
+(∃X∃Y… or ∀X∀Y…) is split by the same reading, so that each guard sits
+under the last block variable it mentions and a block variable that nothing
+mentions is dropped.  The split and the pruning plan of a quantifier depend
+on the formula alone, so one query (`grid_eval`, `stabilize`) analyses each
+quantifier node once, and the evaluators of all its budgets share the
+analysis.  Verdicts carry a stabilization flag comparing budgets k and k+1;
+stability is a heuristic, evidence but not proof of the true verdict (the
+three-atoms sentence of the tests stabilizes on a wrong false).
 """
 
 from __future__ import annotations
@@ -137,13 +138,16 @@ def _mask_bounds(term, steps, env: dict, top: int) -> tuple:
     return lower, upper
 
 
-def _quantified_conjuncts(q: Formula) -> list:
-    """Conjuncts that constrain a quantified variable; for a universal
-    quantifier only the antecedent of an implication may constrain (other
-    values hold vacuously)."""
-    if type(q) is Exists:
-        return list(conjuncts(q.body))
-    return list(conjuncts(q.body.left)) if type(q.body) is Implies else []
+def _guards(quant, matrix: Formula) -> tuple:
+    """(guards, inner) of a quantifier body: the conjuncts that may bound
+    its variable, and what else a ∀ checks.  Under ∃ every conjunct guards
+    (inner None); under ∀ only the antecedent of an implication does (other
+    values hold vacuously), and any other body is all inner."""
+    if quant is Exists:
+        return list(conjuncts(matrix)), None
+    if type(matrix) is Implies:
+        return list(conjuncts(matrix.left)), matrix.right
+    return [], matrix
 
 
 def _partition_plan(f: ExistsPartition) -> tuple:
@@ -193,48 +197,41 @@ def _submasks(lower: int, upper: int, singleton: bool):
 #
 # The pruning reads a quantifier's immediate body only, so in a block
 # ∃X∃Y∃Z φ the outer variables X and Y would range over every mask.
-# Splitting the block pushes each conjunct of φ (of φ's antecedent, for a ∀
-# block over an implication) to just inside the quantifier of the last block
-# variable it mentions, and the conjuncts that mention none out of the block.
-# Over a non-empty domain the result is the same formula, and every
-# evaluator's domain contains the empty mask.
+# Splitting the block pushes each guard of φ (`_guards`) to just inside the
+# quantifier of the last block variable it mentions, and the guards that
+# mention none out of the block; a block variable that no part of φ
+# mentions (or that an inner one of the same name shadows) loses its
+# quantifier.  Over a non-empty domain the result is the same formula, and
+# every evaluator's domain contains the empty mask.
 
 def split_block(f: Formula) -> Formula:
-    """f with its quantifier block split, or f itself when no conjunct
-    moves."""
+    """f with its quantifier block split, or f itself when no guard moves
+    and every block variable is kept."""
     quant = type(f)
     prefix = []
     matrix = f
     while type(matrix) is quant:
         prefix.append(matrix.var)
         matrix = matrix.body
-    if quant is Forall:
-        if not isinstance(matrix, Implies):
-            return f
-        guards, inner = matrix.left, matrix.right
-    else:
-        guards, inner = matrix, None
+    guards, inner = _guards(quant, matrix)
     last = {v: i for i, v in enumerate(prefix, 1)}  # a repeated name shadows
     levels: list[list] = [[] for _ in range(len(prefix) + 1)]  # 0: outside
-    for c in conjuncts(guards):
-        levels[max((last[v] for v in free_vars(c) if v in last),
-                   default=0)].append(c)
-    if not any(levels[:-1]):
+    kept = set() if inner is None else {last[v] for v in free_vars(inner)
+                                        if v in last}
+    for c in guards:
+        mentioned = [last[v] for v in free_vars(c) if v in last]
+        kept.update(mentioned)
+        levels[max(mentioned, default=0)].append(c)
+    if len(kept) == len(prefix) and not any(levels[:-1]):
         return f
-    for i in range(len(prefix), 0, -1):
-        inner = _guarded(quant, levels[i], inner)
-        if inner is not None:
+    for i in range(len(prefix), -1, -1):
+        if levels[i]:
+            guard = and_all(levels[i])
+            inner = (Implies(guard, inner) if quant is Forall
+                     else guard if inner is None else And(guard, inner))
+        if i in kept:
             inner = quant(prefix[i - 1], inner)
-    return _guarded(quant, levels[0], inner)
-
-
-def _guarded(quant, guards: list, inner: Optional[Formula]):
-    """The body of one block level: its guards and the inner levels; an
-    existential level with neither is dropped (None)."""
-    if quant is Forall:
-        return Implies(and_all(guards), inner) if guards else inner
-    parts = guards + ([] if inner is None else [inner])
-    return and_all(parts) if parts else None
+    return inner
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +354,9 @@ class _MaskEvaluator:
         """(q, split, plan) for a quantifier node, stored in `analysed` under
         q's identity (hashing a node walks its subtree).  The entry holds q
         and so keeps it alive: no other live node can share its id, and a
-        hit on id(q) is always q's own entry.  A block whose split moves a
-        conjunct gets the split and no plan, any other quantifier its pruning
-        plan and no split.  The dict may be shared by the evaluators of every
+        hit on id(q) is always q's own entry.  A block that its split changes
+        gets the split and no plan, any other quantifier its pruning plan
+        and no split.  The dict may be shared by the evaluators of every
         budget of one query, since none of this depends on the grid."""
         if type(q) is ExistsPartition:
             entry = (q, None, _partition_plan(q))
@@ -372,7 +369,7 @@ class _MaskEvaluator:
 
     def plan(self, q: Formula):
         """The pruning plan of quantifier node q."""
-        return _bounds_plan(q.var, _quantified_conjuncts(q))
+        return _bounds_plan(q.var, _guards(type(q), q.body)[0])
 
     def witnesses(self, plan, env: dict):
         """The masks between the lattice bounds the plan puts on its
@@ -468,7 +465,17 @@ def bruteforce_eval(m: MsoFin, f: Formula,
     """Exact truth of f in MSO(n); assignment maps variables to frozensets of
     ints (or bitmask ints)."""
     ev = BruteForceEvaluator(m.n)
-    return ev.formula(f, ev.masks(assignment))
+    return _search(ev, f, ev.masks(assignment))
+
+
+def _search(ev: _MaskEvaluator, f: Formula, env: dict) -> bool:
+    """The evaluator's truth of f; the search recurses once per nesting
+    level, so a formula nested past the interpreter's limit is an
+    EvalError."""
+    try:
+        return ev.formula(f, env)
+    except RecursionError:
+        raise EvalError("formula nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +631,7 @@ class GridLEvaluator(_MaskEvaluator):
         endpoints or empty maximum, as (op, term) in order ("=" fixes the
         variable itself and ends the list), and the lattice-bounds plan,
         None after a "="."""
-        conjs = _quantified_conjuncts(q)
+        conjs = _guards(type(q), q.body)[0]
         var = q.var
         vt = Var(var)
         fixes = []
@@ -703,8 +710,8 @@ def _budget_verdicts(kind: str, f: Formula, assignment: dict,
             raise ValueError("budget must be >= 1")
         _check_size(len(seeds), k, limit)
         ev = evaluator(seeds, k, analysed)
-        verdicts[k] = ev.formula(f, {name: ev.encode(v)
-                                     for name, v in assignment.items()})
+        verdicts[k] = _search(ev, f, {name: ev.encode(v)
+                                      for name, v in assignment.items()})
         return verdicts[k]
 
     return verdict

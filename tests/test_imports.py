@@ -1,14 +1,21 @@
 """Every module of the package uses each name it imports (``__init__.py``,
-which imports to re-export, is exempt), and some module of the package
-mentions each private name (``_x``) a module defines at its top level."""
+which imports to re-export, is exempt), some module of the package
+mentions each private name (``_x``) a module defines at its top level, and
+some line of the repository's code names each public function and class
+of the package outside its own definition."""
 
 import ast
+import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mcdlo"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mcdlo"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the directories whose code may use the package
+CODE_DIRS = ("src", "tests", "scripts", "perfbench")
 
 
 def _annotations(tree):
@@ -122,3 +129,53 @@ def test_unused_private_name_is_found():
         "b": "from .a import _helper\nimport a\nX = a._Box\n",
     }
     assert unused_private_names(sources) == ["a._B", "a._loop"]
+
+
+def unused_public_names(sources: dict, others=()) -> list[str]:
+    """The public functions and classes (no leading ``_``) that the modules
+    of `sources` (module name to source) define at top level and that no
+    line names outside the definition itself, as module.name.  A line of
+    `others` (further source texts) or of any module counts, in code,
+    strings and comments alike."""
+    word = re.compile(r"[A-Za-z_]\w*")
+    lines_naming = defaultdict(set)  # name -> {(module, line number)}
+    for module, source in sources.items():
+        for number, line in enumerate(source.splitlines(), 1):
+            for name in word.findall(line):
+                lines_naming[name].add((module, number))
+    named_elsewhere = {name for text in others for name in word.findall(text)}
+    unused = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if (not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))
+                    or stmt.name.startswith("_")):
+                continue
+            start = min([stmt.lineno]
+                        + [d.lineno for d in stmt.decorator_list])
+            own = {(module, n) for n in range(start, stmt.end_lineno + 1)}
+            if (stmt.name not in named_elsewhere
+                    and not lines_naming[stmt.name] - own):
+                unused.append(f"{module}.{stmt.name}")
+    return sorted(unused)
+
+
+def test_no_unused_public_names():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    others = [p.read_text() for d in CODE_DIRS
+              for p in (ROOT / d).rglob("*.py") if p.parent != PACKAGE]
+    assert unused_public_names(sources, others) == []
+
+
+def test_unused_public_name_is_found():
+    sources = {
+        "a": ("def used(n):\n    return used(n - 1) if n else 0\n"
+              "def loop(n):\n    return loop(n - 1) if n else 0\n"
+              "class Box:\n    pass\n"
+              "@staticmethod\ndef wrapped():\n    pass\n"
+              "def _private():\n    return 0\n"),
+        "b": "from .a import used\n",
+    }
+    assert unused_public_names(sources, ["x = Box()  # wrapped"]) == [
+        "a.loop"]
+    assert unused_public_names(sources) == ["a.Box", "a.loop", "a.wrapped"]

@@ -1,5 +1,6 @@
 import itertools
 import os
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -332,12 +333,16 @@ def block_evaluators():
      "(forall X (implies (= (inter A X) A) (= (inter X A) X)))"),
 ])
 def test_blocks_the_split_leaves_alone_terminate(block, nested):
-    """A block none of whose conjuncts moves is evaluated by the plain
-    quantifier loop: same verdict as the hand-nested form and the unpruned
-    search, on MSO(n), W and L."""
+    """A block none of whose guards moves is evaluated by the plain
+    quantifier loop, after the shadowed binder of a repeated name is
+    dropped: same verdict as the hand-nested form and the unpruned search,
+    on MSO(n), W and L."""
     f = parse(block, WSO)
-    assert split_block(f) is f
     g = parse(nested or block, WSO)
+    if nested is None:
+        assert split_block(f) is f
+    else:
+        assert split_block(f) == g
     for name, evaluate, reference, values in block_evaluators():
         for a in values:
             want = reference(g, {"A": a})
@@ -359,12 +364,37 @@ def test_split_block_moves_each_conjunct_to_its_last_variable():
         "(implies (= (inter Y X) Y) (= X Y))))))", WSO)
 
 
+def test_split_block_drops_binders_nothing_mentions():
+    f = parse("(forall Y (forall X (subset B B)))", MO)
+    assert split_block(f) == parse("(subset B B)", MO)
+    f = parse("(exists X (exists U (exists Y (and (= (inter Y A) Y) "
+              "(and (= A B) (= (inter X Y) X))))))", WSO)
+    assert split_block(f) == parse(
+        "(and (= A B) (exists X (exists Y (and (= (inter Y A) Y) "
+        "(= (inter X Y) X)))))", WSO)
+    f = parse("(forall X (forall Y (forall X (= (union X A) X))))", WSO)
+    assert split_block(f) == parse("(forall X (= (union X A) X))", WSO)
+
+
+def test_vacuous_block_is_not_searched(time_limit):
+    """A universal block over a body that mentions none of its variables
+    takes no search at all; trying every pair of masks would take seconds
+    at budget 2."""
+    f = parse("(forall Y (forall X (subset B B)))", MO)
+    asg = {"A": FinSet.of(Fraction(1, 2)),
+           "B": FinSet.of(Fraction(1, 4), Fraction(3, 4))}
+    time_limit(1)
+    assert stabilize("w", f, asg) == EvalReport(True, 1, True)
+
+
 def block_sentences(ops1, ops2, guard_min):
-    """Prenex blocks of 2-3 distinct variables over parameter A: an
-    existential block over a conjunction, or a universal one over an
-    implication with a conjunctive antecedent.  The conjuncts are guards on
-    one block variable, conjuncts free of every block variable, and cross
-    conjuncts between two block variables."""
+    """Prenex blocks of 2-3 binders over parameter A: an existential block
+    over a conjunction, a universal one over an implication with a
+    conjunctive antecedent, or a universal one over a conjunction (which
+    guards nothing).  A binder may repeat an earlier name, and the binder U
+    is never mentioned.  The conjuncts are guards on one block variable,
+    conjuncts free of every block variable, and cross conjuncts between two
+    block variables."""
     def terms(leaves):
         def extend(inner):
             apps = [st.tuples(st.sampled_from(ops2), inner, inner)
@@ -379,13 +409,15 @@ def block_sentences(ops1, ops2, guard_min):
 
     @st.composite
     def sentence(draw):
-        names = draw(st.lists(st.sampled_from("XYZ"), min_size=2,
-                              max_size=3, unique=True))
+        prefix = draw(st.lists(st.sampled_from("XYZU"), min_size=2,
+                               max_size=3))
+        names = sorted(set(prefix) - {"U"})
         outer = [Var("A"), Const("bot"), Const("zero")]
         everything = [Var(n) for n in names] + outer
+        kinds = ["outer", "guard", "cross"][:len(names) + 1]
         parts = []
         for _ in range(draw(st.integers(1, 4))):
-            kind = draw(st.sampled_from(["guard", "outer", "cross"]))
+            kind = draw(st.sampled_from(kinds))
             if kind == "guard":
                 v = Var(draw(st.sampled_from(names)))
                 if guard_min and draw(st.booleans()):
@@ -402,14 +434,12 @@ def block_sentences(ops1, ops2, guard_min):
                            (Var(u), draw(terms(everything))))
                 atom = draw(atom_kinds)(left, Var(v))
                 parts.append(Not(atom) if draw(st.booleans()) else atom)
-        if draw(st.booleans()):
-            quant, body = Exists, and_all(parts)
-        else:
-            quant = Forall
-            body = Implies(and_all(parts),
-                           draw(atom_kinds)(draw(terms(everything)),
-                                            draw(terms(everything))))
-        for n in reversed(names):
+        shape = draw(st.sampled_from(["exists", "implies", "forall"]))
+        quant, body = (Exists if shape == "exists" else Forall), and_all(parts)
+        if shape == "implies":
+            body = Implies(body, draw(atom_kinds)(draw(terms(everything)),
+                                                  draw(terms(everything))))
+        for n in reversed(prefix):
             body = quant(n, body)
         return body
 
@@ -648,6 +678,17 @@ def test_stabilize_requires_budget_headroom():
     f = parse("(= bot bot)", WSO)
     with pytest.raises(ValueError):
         stabilize("w", f, {}, kmax=1)
+
+
+def test_deeply_nested_formula_is_an_eval_error():
+    """The searches recurse once per nesting level; past the interpreter's
+    limit every entry point says so as an EvalError."""
+    depth = sys.getrecursionlimit() + 200
+    f = parse("(not " * depth + "(= bot bot)" + ")" * depth, WSO)
+    for search in (lambda: grid_eval("w", f), lambda: stabilize("l", f),
+                   lambda: bruteforce_eval(MsoFin(2), f)):
+        with pytest.raises(EvalError, match="^formula nested too deeply$"):
+            search()
 
 
 def test_stabilize_on_assignments():
