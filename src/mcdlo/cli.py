@@ -280,7 +280,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
-        # parsing is a loop; printing, evaluation and most walks still recurse
+        # substitution, unnesting and the rewriting walks still recurse
         print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 

@@ -334,14 +334,19 @@ def _mo_to_functional(f: Formula, dst: str, fresh: FreshVars) -> Formula:
     return map_atoms(f, atom)
 
 
+def _app_side(g: Eq) -> tuple:
+    """(app, other) of an unnested equation: the side that applies a
+    function and the other side, or (None, None) when neither does."""
+    for app, other in ((g.left, g.right), (g.right, g.left)):
+        if isinstance(app, App):
+            return app, other
+    return None, None
+
+
 def _functional_atom_to_mo(g: Formula, src: str, fresh: FreshVars) -> Formula:
     if not isinstance(g, Eq):
         raise EvalError(f"relational atom {g!r} not part of {src}")
-    app, other = None, None
-    if isinstance(g.left, App):
-        app, other = g.left, g.right
-    elif isinstance(g.right, App):
-        app, other = g.right, g.left
+    app, other = _app_side(g)
 
     hoists: list[tuple[str, Formula]] = []
 
@@ -397,6 +402,14 @@ def defeq_translate(f: Formula, src: str, dst: str) -> Formula:
 # ---------------------------------------------------------------------------
 # Relativisation
 
+def _guarded(quant, var: str, guard: Formula, body: Formula) -> Formula:
+    """∃var (guard ∧ body) or ∀var (guard → body), as quant is Exists or
+    Forall: the quantifier restricted to the values the guard admits."""
+    if quant is Exists:
+        return Exists(var, And(guard, body))
+    return Forall(var, Implies(guard, body))
+
+
 def relativize(f: Formula, mode) -> Formula:
     """Quantifier relativisation of an MO formula.
 
@@ -434,9 +447,7 @@ def relativize(f: Formula, mode) -> Formula:
 
     def quantifier(q: Formula, go) -> Formula:
         # the guard draws its fresh names before the body is relativized
-        if isinstance(q, Exists):
-            return Exists(q.var, And(guard(q.var), go(q.body)))
-        return Forall(q.var, Implies(guard(q.var), go(q.body)))
+        return _guarded(type(q), q.var, guard(q.var), go(q.body))
 
     return map_atoms(f, lambda g: g, quantifier)
 
@@ -513,10 +524,8 @@ def w_in_l_translate(f: Formula) -> Formula:
         return g
 
     def quantifier(q: Formula, go) -> Formula:
-        finite = finite_set_formula(Var(q.var))
-        if isinstance(q, Exists):
-            return Exists(q.var, And(finite, go(q.body)))
-        return Forall(q.var, Implies(finite, go(q.body)))
+        return _guarded(type(q), q.var, finite_set_formula(Var(q.var)),
+                        go(q.body))
 
     return map_atoms(f, atom, quantifier)
 
@@ -691,11 +700,7 @@ def l_in_w_translate(f: Formula) -> Formula:
             return phi_subset(xl, xr, yl, yr, fresh)
         if not isinstance(g, Eq):
             raise EvalError(f"L(I) formulas have equational atoms, got {g!r}")
-        app, other = None, None
-        if isinstance(g.left, App):
-            app, other = g.left, g.right
-        elif isinstance(g.right, App):
-            app, other = g.right, g.left
+        app, other = _app_side(g)
         if app is None:
             xl, xr = _code_terms(g.left)
             yl, yr = _code_terms(g.right)
@@ -720,9 +725,7 @@ def l_in_w_translate(f: Formula) -> Formula:
     def quantifier(q: Formula, go) -> Formula:
         l, r = _pair_names(q.var)
         guard = code_ok_formula(Var(l), Var(r))
-        if isinstance(q, Exists):
-            return Exists(l, Exists(r, And(guard, go(q.body))))
-        return Forall(l, Forall(r, Implies(guard, go(q.body))))
+        return type(q)(l, _guarded(type(q), r, guard, go(q.body)))
 
     return map_atoms(f, atom, quantifier)
 

@@ -10,19 +10,20 @@ followed by k mean points that halve the way to the next seed (to 1 after
 the last).  Only the order of the grid matters to the search, so a query
 builds no grid: it sorts the seeds once, and in the budget-k grid seed j is
 bit j(k+1).  Grid sets, interval unions and the subsets of MSO(n) are all
-bitmasks, and one mask kernel evaluates all three: a structure is a
+bitmasks of one evaluator class (`_MaskEvaluator`): a structure is a
 constant table (the masks of its constants) and an op table (its function
 symbols as functions on masks), searched by one quantifier loop; the
-value-level structures of `models` stay as exact references.  The loop
-prunes each quantified variable by its quantifier's guards (`_guards`: the
-conjuncts of an ∃ body, of a ∀ body's antecedent); a quantifier block
-(∃X∃Y… or ∀X∀Y…) is split by the same reading, so that each guard sits
-under the last block variable it mentions and a block variable that nothing
-mentions is dropped.  The split and the pruning plan of a quantifier depend
-on the formula alone, so one query (`grid_eval`, `stabilize`) analyses each
-quantifier node once, and the evaluators of all its budgets share the
-analysis.  Verdicts carry a stabilization flag comparing budgets k and k+1;
-stability is a heuristic, evidence but not proof of the true verdict (the
+value-level structures of `models` stay as exact references.  One plan
+(`_plan`) reads a quantifier's guards (`_guards`: the conjuncts of an ∃
+body, of a ∀ body's antecedent): an equation fixes its variable in every
+structure, lattice constraints bound it, and in L(I) endpoint equations
+fix it too.  A block (∃X∃Y… or ∀X∀Y…) is split by the same reading, so
+that each guard sits under the last block variable it mentions and a
+block variable that nothing mentions is dropped.  The split and the plan
+depend on the formula alone, so one query (`grid_eval`, `stabilize`)
+analyses each quantifier node once for the evaluators of all its budgets.
+Verdicts carry a stabilization flag comparing budgets k and k+1; stability
+is a heuristic, evidence but not proof of the true verdict (the
 three-atoms sentence of the tests stabilizes on a wrong false).
 """
 
@@ -68,21 +69,24 @@ class EvalReport:
 # Quantifier pruning shared by the bitmask evaluators
 #
 # Witness variables introduced by the rewriting layer always come with
-# lattice constraints among the top-level conjuncts of the quantified body
-# (v contained in t or containing it, v disjoint from t, union with t
-# prescribed).  Reading those constraints off syntactically confines the
-# witness search to an interval of the subset lattice instead of the whole
-# powerset.  The reading is a plan made once per quantifier node: which
-# conjuncts bound the variable, and how; a visit evaluates its terms only.
+# equations or lattice constraints among the top-level conjuncts of the
+# quantified body (v equal to t, v contained in t or containing it, v
+# disjoint from t, union with t prescribed).  Reading them off fixes the
+# witness, or confines its search to an interval of the subset lattice.
+# The reading is a plan made once per quantifier node: which conjuncts fix
+# or bound the variable, and how; a visit evaluates its terms only.
 
 
-# the steps of a bounds plan: each names the terms a visit evaluates
-_UPPER, _LOWER, _EMPTY_MEET, _UNION = range(4)
+# the steps of a plan: each names the terms a visit evaluates
+_EQUAL, _UPPER, _LOWER, _EMPTY_MEET, _UNION, _LEFTS, _RIGHTS, _MAX = range(8)
+_ENDPOINTS = {"l": _LEFTS, "r": _RIGHTS, "max": _MAX}
 
 
-def _bounds_plan(var: str, conjs) -> tuple:
-    """(steps, singleton): the lattice bounds the conjuncts put on var, read
-    off once per quantifier node; `_mask_bounds` evaluates the steps' terms.
+def _plan(var: str, conjs) -> tuple:
+    """(steps, singleton): what the conjuncts say of var, read off once per
+    quantifier node.  An equation var = t, t free of var, fixes var and is
+    the only step; (l var), (r var) and (max var) equal to such a t give
+    the endpoint steps, and the lattice steps bound var (`_mask_bounds`).
     Singleton means var is empty or a single point."""
     steps = []
     singleton = False
@@ -90,9 +94,6 @@ def _bounds_plan(var: str, conjs) -> tuple:
     least = App("min", (vt,))
     for c in conjs:
         kind = type(c)
-        if kind is Eq and ((c.left == vt and c.right == least)
-                           or (c.right == vt and c.left == least)):
-            singleton = True
         if (kind is SubsetAtom and c.left == vt
                 and var not in term_vars(c.right)):
             steps.append((_UPPER, c.right, None))
@@ -100,8 +101,17 @@ def _bounds_plan(var: str, conjs) -> tuple:
         if kind is not Eq:
             continue
         for a, b in ((c.left, c.right), (c.right, c.left)):
-            if (type(a) is not App or a.op not in ("inter", "union")
-                    or vt not in a.args):
+            free = var not in term_vars(b)
+            if a == vt:
+                if free:
+                    return ((_EQUAL, b, None),), False
+                singleton = singleton or b == least
+                continue
+            if type(a) is not App or vt not in a.args:
+                continue
+            if a.op in _ENDPOINTS and free:
+                steps.append((_ENDPOINTS[a.op], b, None))
+            if a.op not in ("inter", "union"):
                 continue
             other = a.args[0] if a.args[1] == vt else a.args[1]
             if other == vt or var in term_vars(other):
@@ -111,17 +121,17 @@ def _bounds_plan(var: str, conjs) -> tuple:
                     steps.append((_UPPER, other, None))
                 elif b == other:
                     steps.append((_LOWER, other, None))
-                elif var not in term_vars(b):
+                elif free:
                     # b empty: var is disjoint from other
                     steps.append((_EMPTY_MEET, b, other))
-            elif var not in term_vars(b):
+            elif free:
                 steps.append((_UNION, b, other))
     return tuple(steps), singleton
 
 
 def _mask_bounds(term, steps, env: dict, top: int) -> tuple:
-    """(lower, upper): the bounds a plan's steps put on every satisfying
-    value, with its terms evaluated in env."""
+    """(lower, upper): the bounds a plan's lattice steps put on every
+    satisfying value, with their terms evaluated in env."""
     upper, lower = top, 0
     for code, a, b in steps:
         if code == _UPPER:
@@ -131,7 +141,7 @@ def _mask_bounds(term, steps, env: dict, top: int) -> tuple:
         elif code == _EMPTY_MEET:
             if term(a, env) == 0:
                 upper &= top & ~term(b, env)
-        else:
+        elif code == _UNION:
             u = term(a, env)
             upper &= u
             lower |= u & ~term(b, env)
@@ -323,9 +333,28 @@ def _msinv(a: int, b: int) -> int:
 
 
 class _MaskEvaluator:
-    """Truth over masks: a subclass supplies `name`, `consts`, `ops`, `full`
-    (the mask of everything), `encode` and an `analysed` dict, and may
-    replace `plan`, `witnesses` and `exists_partition`."""
+    """Truth over masks of points given in increasing order: the whole
+    domain (budget 0), or the sorted seeds of the budget-k grid, seed j at
+    bit j(k+1).  `analysed` may be shared by the evaluators of one query.
+    A subclass supplies `name`, `consts` and `ops`, and may replace
+    `encode`, `witnesses` and `exists_partition`."""
+
+    def __init__(self, points: Sequence, budget: int = 0,
+                 analysed: Optional[dict] = None):
+        step = budget + 1
+        self.index = {p: i * step for i, p in enumerate(points)}
+        self.size = len(points) * step
+        self.full = (1 << self.size) - 1
+        self.analysed = {} if analysed is None else analysed
+
+    def encode(self, points) -> int:
+        """The mask of a set of the given points."""
+        mask = 0
+        for p in points:
+            if p not in self.index:
+                raise EvalError(f"point {p} outside the {self.name} grid")
+            mask |= 1 << self.index[p]
+        return mask
 
     def term(self, t: Term, env: dict) -> int:
         kind = type(t)
@@ -362,35 +391,22 @@ class _MaskEvaluator:
             entry = (q, None, _partition_plan(q))
         else:
             split = split_block(q) if type(q.body) is type(q) else q
-            entry = ((q, split, None) if split is not q
-                     else (q, None, self.plan(q)))
+            entry = ((q, split, None) if split is not q else
+                     (q, None, _plan(q.var, _guards(type(q), q.body)[0])))
         self.analysed[id(q)] = entry
         return entry
 
-    def plan(self, q: Formula):
-        """The pruning plan of quantifier node q."""
-        return _bounds_plan(q.var, _guards(type(q), q.body)[0])
-
     def witnesses(self, plan, env: dict):
-        """The masks between the lattice bounds the plan puts on its
-        variable."""
+        """The mask an equation of the plan fixes its variable to, else the
+        masks between the lattice bounds the plan puts on it."""
         steps, singleton = plan
+        if steps and steps[0][0] == _EQUAL:
+            return (self.term(steps[0][1], env),)
         lower, upper = _mask_bounds(self.term, steps, env, self.full)
         return _submasks(lower, upper, singleton)
 
     def exists_partition(self, f: ExistsPartition, env: dict) -> bool:
         raise EvalError(f"cannot evaluate {f!r} on the grid")
-
-
-def _point_mask(self, points) -> int:
-    """The mask of a set of the evaluator's points (`self.index` gives each
-    point's bit)."""
-    mask = 0
-    for p in points:
-        if p not in self.index:
-            raise EvalError(f"point {p} outside the {self.name} grid")
-        mask |= 1 << self.index[p]
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -405,22 +421,13 @@ class BruteForceEvaluator(_MaskEvaluator):
         if n > DEFAULT_MSOFIN_CAP:
             raise EvalError(f"MSO({n}) exceeds brute-force cap "
                             f"{DEFAULT_MSOFIN_CAP}")
-        self.n = n
+        super().__init__(range(n))
         self.name = f"MSO({n})"
-        self.index = {i: i for i in range(n)}
-        full = self.full = (1 << n) - 1
+        full = self.full
         self.consts = {"bot": 0, "top": full, "zero": 1 if n else 0,
                        "zerostar": 1 << (n - 1) if n else 0}
         self.ops = {**_BOOLEAN_OPS, "compl": lambda a: full & ~a,
                     "sinv": lambda a: a >> 1}
-        self.analysed: dict = {}
-
-    encode = _point_mask
-
-    def masks(self, values: Optional[dict]) -> dict:
-        """values with every set of points encoded; ints are masks already."""
-        return {name: v if isinstance(v, int) else self.encode(v)
-                for name, v in (values or {}).items()}
 
     formula = _grid_formula
 
@@ -437,7 +444,7 @@ class BruteForceEvaluator(_MaskEvaluator):
         bounds = {z: self.term(t, env) for z, t in bounded}
 
         allowed_per_point = []
-        for i in range(self.n):
+        for i in range(self.size):
             bit = 1 << i
             allowed = [(z, bit) for z in blocks
                        if z not in bounds or bounds[z] & bit]
@@ -465,7 +472,8 @@ def bruteforce_eval(m: MsoFin, f: Formula,
     """Exact truth of f in MSO(n); assignment maps variables to frozensets of
     ints (or bitmask ints)."""
     ev = BruteForceEvaluator(m.n)
-    return _search(ev, f, ev.masks(assignment))
+    return _search(ev, f, {name: v if isinstance(v, int) else ev.encode(v)
+                           for name, v in (assignment or {}).items()})
 
 
 def _search(ev: _MaskEvaluator, f: Formula, env: dict) -> bool:
@@ -529,36 +537,16 @@ def _w_seed_points(assignment: dict) -> set:
     return pts
 
 
-def _grid_index(points: Sequence[Fraction], budget: int) -> tuple:
-    """(index, size) of the grid an evaluator searches: `points` is the
-    whole grid in increasing order (budget 0), or the sorted seeds of the
-    budget-k grid, where seed j is point j(k+1).  index maps each given
-    point to its position; size is the number of grid points."""
-    step = budget + 1
-    return {p: i * step for i, p in enumerate(points)}, len(points) * step
-
-
 # ---------------------------------------------------------------------------
 # Grid evaluation on W(I)
 
 class GridWEvaluator(_MaskEvaluator):
-    """Subsets of the grid (its points in increasing order) as bitmasks,
-    bit i the i-th grid point.  `analysed` may be shared by the evaluators
-    of one query."""
+    """Subsets of the grid as bitmasks, bit i the i-th grid point."""
 
     name = "W(I)"
     value_type = FinSet
     consts = _GRID_CONSTS
     ops = {**_BOOLEAN_OPS, "min": _least, "max": _greatest, "msinv": _msinv}
-
-    def __init__(self, points: Sequence[Fraction], budget: int = 0,
-                 analysed: Optional[dict] = None):
-        self.index, self.size = _grid_index(points, budget)
-        self.full = (1 << self.size) - 1
-        self.analysed = {} if analysed is None else analysed
-
-    encode = _point_mask
-
     formula = _grid_formula
 
 
@@ -570,7 +558,7 @@ class GridLEvaluator(_MaskEvaluator):
     grid point i, bit 2i+1 the open gap above it; the last gap is the
     unbounded tail.  A gap bit is set only with the points around it (the
     tail only with the last point).  The grid is given as for
-    `GridWEvaluator`."""
+    `_MaskEvaluator`."""
 
     name = "L(I)"
     value_type = IntervalUnion
@@ -578,7 +566,7 @@ class GridLEvaluator(_MaskEvaluator):
 
     def __init__(self, points: Sequence[Fraction], budget: int = 0,
                  analysed: Optional[dict] = None):
-        self.index, self.size = _grid_index(points, budget)
+        super().__init__(points, budget, analysed)
         self.full = (1 << 2 * self.size) - 1
         points = self.points = self.full // 3  # the even bits
         tail = self.tail = 1 << 2 * self.size - 1
@@ -586,7 +574,6 @@ class GridLEvaluator(_MaskEvaluator):
                     "max": lambda a: 0 if a & tail else _greatest(a),
                     "l": lambda a: a & points & ~(a << 1),
                     "r": lambda a: a & points & ~(a >> 1)}
-        self.analysed = {} if analysed is None else analysed
 
     def encode(self, u: IntervalUnion) -> int:
         mask = 0
@@ -626,50 +613,25 @@ class GridLEvaluator(_MaskEvaluator):
             return (mask,)
         return ()
 
-    def plan(self, q: Formula) -> tuple:
-        """(fixes, bounds): the equations that fix q's variable or its
-        endpoints or empty maximum, as (op, term) in order ("=" fixes the
-        variable itself and ends the list), and the lattice-bounds plan,
-        None after a "="."""
-        conjs = _guards(type(q), q.body)[0]
-        var = q.var
-        vt = Var(var)
-        fixes = []
-        for c in conjs:
-            if type(c) is not Eq:
-                continue
-            for a, b in ((c.left, c.right), (c.right, c.left)):
-                if var in term_vars(b):
-                    continue
-                if a == vt:
-                    fixes.append(("=", b))
-                    return tuple(fixes), None
-                if (type(a) is App and a.args == (vt,)
-                        and a.op in ("l", "r", "max")):
-                    fixes.append((a.op, b))
-        return tuple(fixes), _bounds_plan(var, conjs)
-
     def witnesses(self, plan, env: dict):
         """Masks for a quantified variable: the one an equation fixes, the
         one its left and right endpoints fix together, else the valid masks
         within its lattice bounds (empty or unbounded when its maximum is
         empty)."""
-        fixes, bounds = plan
+        steps, singleton = plan
         lefts = rights = None
         unbounded = False
-        for op, t in fixes:
-            value = self.term(t, env)
-            if op == "=":
-                return (value,)
-            if op == "l":
-                lefts = value
-            elif op == "r":
-                rights = value
-            elif value == 0:
+        for code, t, _ in steps:
+            if code == _EQUAL:
+                return (self.term(t, env),)
+            if code == _LEFTS:
+                lefts = self.term(t, env)
+            elif code == _RIGHTS:
+                rights = self.term(t, env)
+            elif code == _MAX and self.term(t, env) == 0:
                 unbounded = True
         if lefts is not None and rights is not None:
             return self._from_endpoints(lefts, rights)
-        steps, singleton = bounds
         lower, upper = _mask_bounds(self.term, steps, env, self.full)
         if singleton:
             return _submasks(lower, 0 if unbounded else upper & self.points,

@@ -425,7 +425,10 @@ def print_formula(f: Formula) -> str:
     if type(f) not in _SHAPE:
         raise TypeError(f"not a formula: {f!r}")
     out: list = []
-    _write(f, out)
+    try:
+        _write(f, out)
+    except RecursionError:
+        raise EvalError("formula nested too deeply") from None
     return "".join(out)
 
 
@@ -444,16 +447,25 @@ def term_vars(t: Term) -> set[str]:
 
 
 def free_vars(f: Formula) -> set[str]:
+    """The free variables of f; the walk recurses once per nesting level,
+    so a formula nested past the interpreter's limit is an EvalError."""
+    try:
+        return _free_vars(f)
+    except RecursionError:
+        raise EvalError("formula nested too deeply") from None
+
+
+def _free_vars(f: Formula) -> set[str]:
     if isinstance(f, ATOM_TYPES):
         return term_vars(f.left) | term_vars(f.right)
     if isinstance(f, Not):
-        return free_vars(f.body)
+        return _free_vars(f.body)
     if isinstance(f, (And, Or, Implies)):
-        return free_vars(f.left) | free_vars(f.right)
+        return _free_vars(f.left) | _free_vars(f.right)
     if isinstance(f, (Exists, Forall)):
-        return free_vars(f.body) - {f.var}
+        return _free_vars(f.body) - {f.var}
     if isinstance(f, ExistsPartition):
-        return free_vars(f.body) - set(f.block_vars)
+        return _free_vars(f.body) - set(f.block_vars)
     if isinstance(f, RAtom):
         return set(f.args)
     raise TypeError(f"not a formula: {f!r}")

@@ -2,7 +2,8 @@
 which imports to re-export, is exempt), some module of the package
 mentions each private name (``_x``) a module defines at its top level, and
 some line of the repository's code names each public function and class
-of the package outside its own definition."""
+of the package, and each method (dunders aside) of its classes as an
+attribute or a quoted string, outside its own definition."""
 
 import ast
 import re
@@ -131,33 +132,38 @@ def test_unused_private_name_is_found():
     assert unused_private_names(sources) == ["a._B", "a._loop"]
 
 
-def unused_public_names(sources: dict, others=()) -> list[str]:
-    """The public functions and classes (no leading ``_``) that the modules
-    of `sources` (module name to source) define at top level and that no
-    line names outside the definition itself, as module.name.  A line of
-    `others` (further source texts) or of any module counts, in code,
-    strings and comments alike."""
-    word = re.compile(r"[A-Za-z_]\w*")
+def _named_elsewhere(sources: dict, others, pattern):
+    """named(module, stmt): whether some line on which `pattern` finds
+    stmt's name lies outside stmt's own definition (decorators included).
+    A line of `others` (further source texts) or of any module of `sources`
+    (module name to source) counts, in code, strings and comments alike."""
     lines_naming = defaultdict(set)  # name -> {(module, line number)}
     for module, source in sources.items():
         for number, line in enumerate(source.splitlines(), 1):
-            for name in word.findall(line):
+            for name in pattern.findall(line):
                 lines_naming[name].add((module, number))
-    named_elsewhere = {name for text in others for name in word.findall(text)}
-    unused = []
-    for module, source in sources.items():
-        for stmt in ast.parse(source).body:
-            if (not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                      ast.ClassDef))
-                    or stmt.name.startswith("_")):
-                continue
-            start = min([stmt.lineno]
-                        + [d.lineno for d in stmt.decorator_list])
-            own = {(module, n) for n in range(start, stmt.end_lineno + 1)}
-            if (stmt.name not in named_elsewhere
-                    and not lines_naming[stmt.name] - own):
-                unused.append(f"{module}.{stmt.name}")
-    return sorted(unused)
+    in_others = {name for text in others for name in pattern.findall(text)}
+
+    def named(module: str, stmt) -> bool:
+        start = min([stmt.lineno] + [d.lineno for d in stmt.decorator_list])
+        own = {(module, n) for n in range(start, stmt.end_lineno + 1)}
+        return stmt.name in in_others or bool(lines_naming[stmt.name] - own)
+
+    return named
+
+
+def unused_public_names(sources: dict, others=()) -> list[str]:
+    """The public functions and classes (no leading ``_``) that the modules
+    of `sources` (module name to source) define at top level and that no
+    line names outside the definition itself, as module.name; lines count
+    as `_named_elsewhere` says."""
+    named = _named_elsewhere(sources, others, re.compile(r"[A-Za-z_]\w*"))
+    return sorted(
+        f"{module}.{stmt.name}" for module, source in sources.items()
+        for stmt in ast.parse(source).body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and not stmt.name.startswith("_") and not named(module, stmt))
 
 
 def test_no_unused_public_names():
@@ -179,3 +185,43 @@ def test_unused_public_name_is_found():
     assert unused_public_names(sources, ["x = Box()  # wrapped"]) == [
         "a.loop"]
     assert unused_public_names(sources) == ["a.Box", "a.loop", "a.wrapped"]
+
+
+def unused_methods(sources: dict, others=()) -> list[str]:
+    """The methods (dunders aside) of the classes that the modules of
+    `sources` (module name to source) define at top level and that no line
+    names as an attribute (``.name``) or a quoted string outside the
+    method's own definition, as module.Class.name; lines count as
+    `_named_elsewhere` says."""
+    named = _named_elsewhere(sources, others,
+                             re.compile(r"""[.'"]([A-Za-z_]\w*)"""))
+    return sorted(
+        f"{module}.{cls.name}.{stmt.name}"
+        for module, source in sources.items()
+        for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not stmt.name.startswith("__") and not named(module, stmt))
+
+
+def test_no_unused_methods():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    others = [p.read_text() for d in CODE_DIRS
+              for p in (ROOT / d).rglob("*.py") if p.parent != PACKAGE]
+    assert unused_methods(sources, others) == []
+
+
+def test_unused_method_is_found():
+    sources = {
+        "a": ("class Box:\n"
+              "    def __len__(self):\n        return 0\n"
+              "    def loop(self, n):\n"
+              "        return self.loop(n - 1) if n else self.size\n"
+              "    @property\n    def size(self):\n        return 0\n"
+              "    def patched(self):\n        return 0\n"
+              "    def leftover(self):\n        return 0\n"
+              "def run(box, leftover):\n    return box.loop(leftover)\n"),
+        "b": "setattr(a.Box, 'patched', None)  # leftover\n",
+    }
+    assert unused_methods(sources) == ["a.Box.leftover"]
+    assert unused_methods(sources, ["Box.leftover = None"]) == []

@@ -55,6 +55,22 @@ msofin_terms = st.recursive(
                             inner, inner)
     .map(lambda t: App(t[0], (t[1], t[2]))),
     max_leaves=4)
+
+
+def equation_guarded(terms, inner):
+    """∃X (X = t ∧ φ) and ∀X (X = t → φ): quantifiers that an equation
+    fixes when t is free of X."""
+    def build(drawn):
+        quant, var, t, body = drawn
+        guard = Eq(Var(var), t)
+        if quant is Exists:
+            return Exists(var, And(guard, body))
+        return Forall(var, Implies(guard, body))
+
+    return st.tuples(st.sampled_from([Exists, Forall]), var_names, terms,
+                     inner).map(build)
+
+
 msofin_formulas = st.recursive(
     st.one_of(
         st.tuples(msofin_terms, msofin_terms).map(lambda t: Eq(t[0], t[1])),
@@ -65,7 +81,8 @@ msofin_formulas = st.recursive(
         st.tuples(inner, inner).map(lambda t: And(*t)),
         st.tuples(inner, inner).map(lambda t: Implies(*t)),
         st.tuples(var_names, inner).map(lambda t: Exists(*t)),
-        st.tuples(var_names, inner).map(lambda t: Forall(*t))),
+        st.tuples(var_names, inner).map(lambda t: Forall(*t)),
+        equation_guarded(msofin_terms, inner)),
     max_leaves=6)
 
 
@@ -113,7 +130,8 @@ wso_formulas = st.recursive(
         st.tuples(inner, inner).map(lambda t: And(*t)),
         st.tuples(inner, inner).map(lambda t: Implies(*t)),
         st.tuples(var_names, inner).map(lambda t: Exists(*t)),
-        st.tuples(var_names, inner).map(lambda t: Forall(*t))),
+        st.tuples(var_names, inner).map(lambda t: Forall(*t)),
+        equation_guarded(wso_terms, inner)),
     max_leaves=6)
 
 
@@ -302,6 +320,21 @@ def test_gridl_narrowed_witnesses_match_naive_search(text):
         for b in point_sets:
             env = {"A": a, "B": b}
             assert ev.formula(f, env) == naive_gridl(ev, f, env), (a, b)
+
+
+@pytest.mark.parametrize("text", [
+    "(exists U (and (= (inter U A) A) (= U (union A zero))))",
+    "(forall U (implies (= (union A zero) U) (not (= U bot))))",
+])
+def test_equation_guard_fixes_the_witness(text):
+    """A quantifier guarded by U = t, t free of U, tries the value of t
+    only, on every mask evaluator."""
+    q = parse(text, WSO)
+    for ev, a in ((BruteForceEvaluator(3), 0b100),
+                  (GridWEvaluator(make_grid([Fraction(1, 2)], 1)), 0b100),
+                  (GridLEvaluator(make_grid([Fraction(1, 2)], 1)), 0b10000)):
+        witnesses = ev.witnesses(ev.analyse(q)[2], {"A": a})
+        assert list(witnesses) == [a | 1], type(ev).__name__
 
 
 # -- quantifier blocks --------------------------------------------------------
@@ -681,14 +714,16 @@ def test_stabilize_requires_budget_headroom():
 
 
 def test_deeply_nested_formula_is_an_eval_error():
-    """The searches recurse once per nesting level; past the interpreter's
-    limit every entry point says so as an EvalError."""
+    """The searches, the printer and free_vars recurse once per nesting
+    level; past the interpreter's limit each of them says so as an
+    EvalError."""
     depth = sys.getrecursionlimit() + 200
     f = parse("(not " * depth + "(= bot bot)" + ")" * depth, WSO)
-    for search in (lambda: grid_eval("w", f), lambda: stabilize("l", f),
-                   lambda: bruteforce_eval(MsoFin(2), f)):
+    for call in (lambda: grid_eval("w", f), lambda: stabilize("l", f),
+                 lambda: bruteforce_eval(MsoFin(2), f),
+                 lambda: print_formula(f), lambda: free_vars(f)):
         with pytest.raises(EvalError, match="^formula nested too deeply$"):
-            search()
+            call()
 
 
 def test_stabilize_on_assignments():
