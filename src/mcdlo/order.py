@@ -20,13 +20,15 @@ def rat(value, denominator=None) -> Rat:
     """Build an exact rational, accepting ints, strings like "3/4", or pairs."""
     if denominator is not None:
         return Fraction(value, denominator)
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def check_point(p: Rat) -> Rat:
-    if not (0 <= p < 1):
-        raise ValueError(f"point {p} outside [0, 1)")
-    return p
+    # a Fraction's denominator is positive: compare ints, not Fractions
+    if (0 <= p.numerator < p.denominator if type(p) is Fraction
+            else 0 <= p < 1):
+        return p
+    raise ValueError(f"point {p} outside [0, 1)")
 
 
 def format_rat(p: Rat) -> str:
@@ -48,7 +50,7 @@ class FinSet:
 
     def __post_init__(self):
         pts = tuple(self.points)
-        if list(pts) != sorted(set(pts)):
+        if not all(a < b for a, b in zip(pts, pts[1:])):
             raise ValueError("points must be strictly increasing without duplicates")
         for p in pts:
             check_point(p)
@@ -60,7 +62,7 @@ class FinSet:
 
     @classmethod
     def from_iterable(cls, points: Iterable) -> "FinSet":
-        return cls(tuple(sorted({Fraction(p) for p in points})))
+        return cls(tuple(sorted({rat(p) for p in points})))
 
     def __iter__(self) -> Iterator[Rat]:
         return iter(self.points)
@@ -149,7 +151,7 @@ class IntervalUnion:
     intervals: tuple[Interval, ...] = ()
 
     def __post_init__(self):
-        ivs = tuple((Fraction(l), None if r is None else Fraction(r))
+        ivs = tuple((rat(l), None if r is None else rat(r))
                     for l, r in self.intervals)
         prev_right = None
         for idx, (l, r) in enumerate(ivs):
@@ -173,8 +175,8 @@ class IntervalUnion:
         endpoints, collapse anything swallowed by an unbounded interval."""
         cleaned: list[Interval] = []
         for l, r in raw:
-            l = Fraction(l)
-            r = None if r is None else Fraction(r)
+            l = rat(l)
+            r = None if r is None else rat(r)
             if r is not None and l > r:
                 raise ValueError(f"interval [{l}, {r}] is empty")
             cleaned.append((l, r))

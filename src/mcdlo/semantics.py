@@ -21,10 +21,14 @@ fix it too.  A block (∃X∃Y… or ∀X∀Y…) is split by the same reading, 
 that each guard sits under the last block variable it mentions and a
 block variable that nothing mentions is dropped.  The split and the plan
 depend on the formula alone, so one query (`grid_eval`, `stabilize`)
-analyses each quantifier node once for the evaluators of all its budgets.
-Verdicts carry a stabilization flag comparing budgets k and k+1; stability
-is a heuristic, evidence but not proof of the true verdict (the
-three-atoms sentence of the tests stabilizes on a wrong false).
+analyses each quantifier node and ranks each value's points among the
+seeds once for all its budgets: a budget's masks are shifts of the ranks.
+Verdicts carry a stabilization flag comparing budgets k and k+1.  The
+budget-k structure is a substructure of the budget-(k+1) one, so a
+verdict that transfers upward (true and existential, or false with an
+existential negation) stands for k+1 without a search.  For the others
+stability is a heuristic, evidence but not proof of the true verdict
+(the three-atoms sentence of the tests stabilizes on a wrong false).
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from typing import Optional, Sequence
 from .order import ZERO, FinSet, IntervalUnion, check_point
 from .syntax import (And, App, Eq, Exists, ExistsPartition, Forall, Formula,
                      Implies, LtEAtom, Not, Or, SubsetAtom, Term, Var,
-                     and_all, conjuncts, free_vars, term_vars)
+                     and_all, conjuncts, free_vars, is_existential,
+                     term_vars)
 from .models import EvalError, MsoFin
 
 DEFAULT_GRID_CAP = 14
@@ -337,23 +342,37 @@ class _MaskEvaluator:
     domain (budget 0), or the sorted seeds of the budget-k grid, seed j at
     bit j(k+1).  `analysed` may be shared by the evaluators of one query.
     A subclass supplies `name`, `consts` and `ops`, and may replace
-    `encode`, `witnesses` and `exists_partition`."""
+    `ranks`, `mask`, `witnesses` and `exists_partition`."""
 
     def __init__(self, points: Sequence, budget: int = 0,
                  analysed: Optional[dict] = None):
-        step = budget + 1
-        self.index = {p: i * step for i, p in enumerate(points)}
-        self.size = len(points) * step
+        self.given, self.step = points, budget + 1
+        self.size = len(points) * self.step
         self.full = (1 << self.size) - 1
         self.analysed = {} if analysed is None else analysed
 
-    def encode(self, points) -> int:
-        """The mask of a set of the given points."""
+    @property
+    def index(self) -> dict:
+        """The bit of each given point; a query ranks its values itself."""
+        return {p: i * self.step for i, p in enumerate(self.given)}
+
+    def encode(self, value) -> int:
+        """The mask of a value whose points are given points."""
+        try:
+            return self.mask(self.ranks(value, self.index), 1)
+        except KeyError as missing:
+            raise EvalError(f"point {missing.args[0]} outside the "
+                            f"{self.name} grid") from None
+
+    @staticmethod
+    def ranks(points, index: dict) -> tuple:
+        return tuple(index[p] for p in points)
+
+    def mask(self, ranks: tuple, scale: int) -> int:
+        """The mask of the points of these ranks: bit r·scale each."""
         mask = 0
-        for p in points:
-            if p not in self.index:
-                raise EvalError(f"point {p} outside the {self.name} grid")
-            mask |= 1 << self.index[p]
+        for r in ranks:
+            mask |= 1 << r * scale
         return mask
 
     def term(self, t: Term, env: dict) -> int:
@@ -470,10 +489,14 @@ class BruteForceEvaluator(_MaskEvaluator):
 def bruteforce_eval(m: MsoFin, f: Formula,
                     assignment: Optional[dict] = None) -> bool:
     """Exact truth of f in MSO(n); assignment maps variables to frozensets of
-    ints (or bitmask ints)."""
+    ints (or bitmask ints below 2**n)."""
     ev = BruteForceEvaluator(m.n)
-    return _search(ev, f, {name: v if isinstance(v, int) else ev.encode(v)
-                           for name, v in (assignment or {}).items()})
+    env = {name: v if isinstance(v, int) else ev.encode(v)
+           for name, v in (assignment or {}).items()}
+    for name, v in env.items():
+        if not 0 <= v <= ev.full:
+            raise EvalError(f"{name} = {v}: not a mask of {ev.name}")
+    return _search(ev, f, env)
 
 
 def _search(ev: _MaskEvaluator, f: Formula, env: dict) -> bool:
@@ -575,15 +598,18 @@ class GridLEvaluator(_MaskEvaluator):
                     "l": lambda a: a & points & ~(a << 1),
                     "r": lambda a: a & points & ~(a >> 1)}
 
-    def encode(self, u: IntervalUnion) -> int:
+    @staticmethod
+    def ranks(u: IntervalUnion, index: dict) -> tuple:
+        return tuple((index[left], None if right is None else index[right])
+                     for left, right in u.intervals)
+
+    def mask(self, ranks: tuple, scale: int) -> int:
+        """The cells from 2·left·scale to 2·right·scale (or to the tail) of
+        intervals whose endpoints have these ranks."""
         mask = 0
-        for left, right in u.intervals:
-            if left not in self.index or not (right is None
-                                              or right in self.index):
-                raise EvalError(f"endpoint of {u} outside the grid")
-            hi = (self.full if right is None
-                  else (2 << 2 * self.index[right]) - 1)
-            mask |= hi & ~((1 << 2 * self.index[left]) - 1)
+        for left, right in ranks:
+            hi = self.full if right is None else (2 << 2 * right * scale) - 1
+            mask |= hi & ~((1 << 2 * left * scale) - 1)
         return mask
 
     def valid_masks(self, lower: int, upper: int):
@@ -650,9 +676,9 @@ _GRID_EVALUATORS = {"w": GridWEvaluator, "l": GridLEvaluator}
 def _budget_verdicts(kind: str, f: Formula, assignment: dict,
                      cap: Optional[int]):
     """verdict(k): the truth of f under the assignment at budget k, each
-    computed once.  What does not depend on the budget is done once for all
-    of them: the values' types checked, the seeds sorted, the cap read, and
-    each quantifier node analysed."""
+    computed once, or the k-1 verdict when it transfers (module docstring).
+    Done once for all budgets: the values' types checked, the seeds sorted,
+    the values ranked, the cap read, and each quantifier node analysed."""
     evaluator = _GRID_EVALUATORS.get(kind)
     if evaluator is None:
         raise ValueError(f"unknown structure kind {kind!r}")
@@ -661,9 +687,12 @@ def _budget_verdicts(kind: str, f: Formula, assignment: dict,
             raise EvalError(f"{name} = {v!r}: {evaluator.name} takes "
                             f"{evaluator.value_type.__name__} values")
     seeds = _sorted_seeds(_w_seed_points(assignment))
+    rank = {p: j for j, p in enumerate(seeds)}
+    ranks = {name: evaluator.ranks(v, rank) for name, v in assignment.items()}
     limit = grid_cap() if cap is None else cap
     analysed: dict = {}
     verdicts: dict[int, bool] = {}
+    transfers: dict[bool, bool] = {}
 
     def verdict(k: int) -> bool:
         if k in verdicts:
@@ -671,9 +700,15 @@ def _budget_verdicts(kind: str, f: Formula, assignment: dict,
         if k < 1:
             raise ValueError("budget must be >= 1")
         _check_size(len(seeds), k, limit)
+        below = verdicts.get(k - 1)
+        if below is not None and below not in transfers:
+            transfers[below] = is_existential(f, below)
+        if transfers.get(below):
+            verdicts[k] = below
+            return below
         ev = evaluator(seeds, k, analysed)
-        verdicts[k] = _search(ev, f, {name: ev.encode(v)
-                                      for name, v in assignment.items()})
+        verdicts[k] = _search(ev, f, {name: ev.mask(r, ev.step)
+                                      for name, r in ranks.items()})
         return verdicts[k]
 
     return verdict
@@ -682,7 +717,8 @@ def _budget_verdicts(kind: str, f: Formula, assignment: dict,
 def grid_eval(kind: str, f: Formula, assignment: Optional[dict] = None,
               k: int = 1, cap: Optional[int] = None) -> EvalReport:
     """Budgeted witness-search truth value over W(I) (kind='w') or L(I)
-    (kind='l').  Reports whether the verdicts at budgets k and k+1 agree."""
+    (kind='l').  Reports whether the verdicts at budgets k and k+1 agree;
+    a budget-k verdict that transfers stands for k+1 without a search."""
     assignment = dict(assignment or {})
     verdict = _budget_verdicts(kind, f, assignment, cap)
     v1 = verdict(k)
@@ -693,7 +729,9 @@ def grid_eval(kind: str, f: Formula, assignment: Optional[dict] = None,
 def stabilize(kind: str, f: Formula, assignment: Optional[dict] = None,
               kmax: int = 4, cap: Optional[int] = None) -> EvalReport:
     """Verdict at the least budget k <= kmax whose verdict agrees with k+1,
-    else the kmax verdict flagged as not stabilized."""
+    else the kmax verdict flagged as not stabilized.  A verdict that
+    transfers stands for k+1 without a search, so it stops here; for any
+    other verdict, agreement is a heuristic."""
     if kmax < 2:
         raise ValueError("kmax must be >= 2")
     verdict = _budget_verdicts(kind, f, dict(assignment or {}), cap)

@@ -652,26 +652,22 @@ def is_positive_existential(f: Formula) -> bool:
     return all(isinstance(g, _PE_NODES) for g in subformulas(f))
 
 
-def is_existential(f: Formula) -> bool:
+def is_existential(f: Formula, positive: bool = True) -> bool:
     """No universal quantifier and no existential quantifier under negation
-    or on the left of an implication."""
-
-    def go(g: Formula, positive: bool) -> bool:
-        if isinstance(g, ATOM_TYPES + (RAtom,)):
-            return True
-        if isinstance(g, Not):
-            return go(g.body, not positive)
-        if isinstance(g, (And, Or)):
-            return go(g.left, positive) and go(g.right, positive)
-        if isinstance(g, Implies):
-            return go(g.left, not positive) and go(g.right, positive)
-        if isinstance(g, Exists):
-            return positive and go(g.body, positive)
-        if isinstance(g, Forall):
-            return (not positive) and go(g.body, positive)
-        return False
-
-    return go(f, True)
+    or on the left of an implication; with positive False, of (not f)."""
+    kind = type(f)
+    if kind is Not:
+        return is_existential(f.body, not positive)
+    if kind is And or kind is Or:
+        return (is_existential(f.left, positive)
+                and is_existential(f.right, positive))
+    if kind is Implies:
+        return (is_existential(f.left, not positive)
+                and is_existential(f.right, positive))
+    if kind is Exists or kind is Forall:
+        return (positive is (kind is Exists)
+                and is_existential(f.body, positive))
+    return isinstance(f, ATOM_TYPES + (RAtom,))
 
 
 def formula_ops(f: Formula) -> set[str]:

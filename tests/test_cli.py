@@ -301,6 +301,20 @@ def test_query_outputs_script_is_deterministic():
     assert all(line["status"] == "ok" for line in lines)
 
 
+def test_ab_queries_script_times_a_checkout_against_itself(capsys):
+    """With A = B the two sides give the same answers, and the sums of
+    their per-query minima agree within 5%."""
+    root = Path(__file__).resolve().parent.parent
+    main_ = runpy.run_path(str(root / "scripts" / "ab_queries.py"))["main"]
+    semantics = sys.modules["mcdlo.semantics"]
+    assert main_([str(root), str(root), "--workload", "w-grid", "--seed",
+                  "1", "--pass", "0", "--rounds", "5"]) == 0
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert result["queries"] > 0 and result["answers_differ"] == 0
+    assert abs(result["ratio"] - 1) < 0.05
+    assert sys.modules["mcdlo.semantics"] is semantics
+
+
 def test_query_outputs_do_not_depend_on_the_hash_seed():
     """Every translator's fresh names come out the same whatever the string
     hashing of the process, so dict and set order cannot leak into them."""

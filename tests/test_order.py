@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from mcdlo.order import (FinSet, IntervalUnion, enumerate_interval_unions,
-                         format_rat, parse_rat, rat)
+from mcdlo.order import (FinSet, IntervalUnion, check_point,
+                         enumerate_interval_unions, format_rat, parse_rat, rat)
 
 points = st.fractions(min_value=0, max_value=Fraction(15, 16),
                       max_denominator=16)
@@ -147,3 +147,141 @@ def test_enumerate_interval_unions_canonical_and_unique():
         for combo in itertools.combinations(sorted(pool), k):
             u = IntervalUnion.of_points(combo)
             assert u in out
+
+
+# Every value constructor on unsorted, duplicate, out-of-range and empty
+# inputs given as ints, strings, floats and Fractions: the stored points (by
+# repr, so their types show) or the exception raised.
+CONSTRUCTOR_CASES = [
+    (lambda: FinSet(()),
+     '()'),
+    (lambda: FinSet((0, 3)),
+     (ValueError, 'point 3 outside [0, 1)')),
+    (lambda: FinSet((Fraction(1, 4), Fraction(3, 4))),
+     '(Fraction(1, 4), Fraction(3, 4))'),
+    (lambda: FinSet((Fraction(3, 4), Fraction(1, 4))),
+     (ValueError, 'points must be strictly increasing without duplicates')),
+    (lambda: FinSet((Fraction(1, 4), Fraction(1, 4))),
+     (ValueError, 'points must be strictly increasing without duplicates')),
+    (lambda: FinSet((0, 0)),
+     (ValueError, 'points must be strictly increasing without duplicates')),
+    (lambda: FinSet(("1/4", "1/2")),
+     (ValueError, 'points must be strictly increasing without duplicates')),
+    (lambda: FinSet(("1/2", "1/4")),
+     (TypeError, "'<=' not supported between instances of 'int' and 'str'")),
+    (lambda: FinSet(("1/4",)),
+     (TypeError, "'<=' not supported between instances of 'int' and 'str'")),
+    (lambda: FinSet((Fraction(1),)),
+     (ValueError, 'point 1 outside [0, 1)')),
+    (lambda: FinSet((1,)),
+     (ValueError, 'point 1 outside [0, 1)')),
+    (lambda: FinSet((Fraction(-1, 2), Fraction(1, 2))),
+     (ValueError, 'point -1/2 outside [0, 1)')),
+    (lambda: FinSet((0.5,)),
+     '(0.5,)'),
+    (lambda: FinSet((1.5,)),
+     (ValueError, 'point 1.5 outside [0, 1)')),
+    (lambda: FinSet.of(Fraction(3, 4), "1/4", 0),
+     '(Fraction(0, 1), Fraction(1, 4), Fraction(3, 4))'),
+    (lambda: FinSet.of("1/2", "1/2", Fraction(1, 2)),
+     '(Fraction(1, 2),)'),
+    (lambda: FinSet.of("1"),
+     (ValueError, 'point 1 outside [0, 1)')),
+    (lambda: FinSet.of(1),
+     (ValueError, 'point 1 outside [0, 1)')),
+    (lambda: FinSet.of(Fraction(5, 4)),
+     (ValueError, 'point 5/4 outside [0, 1)')),
+    (lambda: FinSet.of("x"),
+     (ValueError, "Invalid literal for Fraction: 'x'")),
+    (lambda: FinSet.from_json(["3/4", "0", "1/4"]),
+     '(Fraction(0, 1), Fraction(1, 4), Fraction(3, 4))'),
+    (lambda: FinSet.from_json(["-1/4"]),
+     (ValueError, 'point -1/4 outside [0, 1)')),
+    (lambda: IntervalUnion(()),
+     '()'),
+    (lambda: IntervalUnion(((0, None),)),
+     '((Fraction(0, 1), None),)'),
+    (lambda: IntervalUnion((("1/4", "1/2"), ("3/4", None))),
+     '((Fraction(1, 4), Fraction(1, 2)), (Fraction(3, 4), None))'),
+    (lambda: IntervalUnion(((Fraction(1, 4), Fraction(1, 2)),)),
+     '((Fraction(1, 4), Fraction(1, 2)),)'),
+    (lambda: IntervalUnion(((Fraction(1, 2), Fraction(1, 4)),)),
+     (ValueError, 'interval [1/2, 1/4] is empty')),
+    (lambda: IntervalUnion((("1/2", "1/4"),)),
+     (ValueError, 'interval [1/2, 1/4] is empty')),
+    (lambda: IntervalUnion(((0, 1),)),
+     (ValueError, 'point 1 outside [0, 1)')),
+    (lambda: IntervalUnion(((1, None),)),
+     (ValueError, 'point 1 outside [0, 1)')),
+    (lambda: IntervalUnion(((Fraction(-1, 4), Fraction(1, 4)),)),
+     (ValueError, 'point -1/4 outside [0, 1)')),
+    (lambda: IntervalUnion(((0, None), (Fraction(1, 2), Fraction(3, 4)))),
+     (ValueError, 'unbounded interval must be last')),
+    (lambda: IntervalUnion(((Fraction(1, 2), Fraction(3, 4)),
+                            (0, Fraction(1, 4)))),
+     (ValueError, 'intervals must be disjoint, sorted, maximal')),
+    (lambda: IntervalUnion(((0, Fraction(1, 2)),
+                            (Fraction(1, 2), Fraction(3, 4)))),
+     (ValueError, 'intervals must be disjoint, sorted, maximal')),
+    (lambda: IntervalUnion((("x", 0),)),
+     (ValueError, "Invalid literal for Fraction: 'x'")),
+    (lambda: IntervalUnion.normalize([]),
+     '()'),
+    (lambda: IntervalUnion.normalize([("3/4", None), (0, "1/4"),
+                                      (Fraction(1, 8), Fraction(1, 2))]),
+     '((Fraction(0, 1), Fraction(1, 2)), (Fraction(3, 4), None))'),
+    (lambda: IntervalUnion.normalize([("1/2", "1/2"),
+                                      (Fraction(1, 2), Fraction(1, 2))]),
+     '((Fraction(1, 2), Fraction(1, 2)),)'),
+    (lambda: IntervalUnion.normalize([(Fraction(1, 2), Fraction(1, 4))]),
+     (ValueError, 'interval [1/2, 1/4] is empty')),
+    (lambda: IntervalUnion.normalize([(3, 2)]),
+     (ValueError, 'interval [3, 2] is empty')),
+    (lambda: IntervalUnion.normalize([(1, None)]),
+     (ValueError, 'point 1 outside [0, 1)')),
+    (lambda: IntervalUnion.normalize([("1/2", "1")]),
+     (ValueError, 'point 1 outside [0, 1)')),
+    (lambda: IntervalUnion.normalize([(0, None), ("1/2", "3/4")]),
+     '((Fraction(0, 1), None),)'),
+    (lambda: IntervalUnion.of_points(["1/2", 0, Fraction(1, 4), 0]),
+     "((Fraction(0, 1), Fraction(0, 1)), (Fraction(1, 4), Fraction(1, 4)), "
+     "(Fraction(1, 2), Fraction(1, 2)))"),
+    (lambda: IntervalUnion.from_json([["1/4", "inf"], ["0", "1/8"]]),
+     '((Fraction(0, 1), Fraction(1, 8)), (Fraction(1, 4), None))'),
+    (lambda: IntervalUnion.from_json([["1/2", "1/4"]]),
+     (ValueError, 'interval [1/2, 1/4] is empty')),
+    (lambda: check_point(Fraction(0)),
+     'Fraction(0, 1)'),
+    (lambda: check_point(Fraction(99, 100)),
+     'Fraction(99, 100)'),
+    (lambda: check_point(Fraction(1)),
+     (ValueError, 'point 1 outside [0, 1)')),
+    (lambda: check_point(Fraction(-1, 3)),
+     (ValueError, 'point -1/3 outside [0, 1)')),
+    (lambda: check_point(0),
+     '0'),
+    (lambda: check_point(1),
+     (ValueError, 'point 1 outside [0, 1)')),
+    (lambda: check_point("1/2"),
+     (TypeError, "'<=' not supported between instances of 'int' and 'str'")),
+]
+
+
+@pytest.mark.parametrize("make,want", CONSTRUCTOR_CASES)
+def test_value_constructors_are_pinned(make, want):
+    if isinstance(want, str):
+        v = make()
+        assert repr(getattr(v, "points", getattr(v, "intervals", v))) == want
+        return
+    with pytest.raises(want[0]) as got:
+        make()
+    assert str(got.value) == want[1]
+
+
+@pytest.mark.parametrize("points", [("1/2", Fraction(1, 4)),
+                                    (Fraction(1, 4), "1/2")])
+def test_incomparable_points_are_a_type_error(points):
+    """Which operand order the message names is not pinned: it followed
+    the hash order of a set of the points before."""
+    with pytest.raises(TypeError, match="^'<' not supported between"):
+        FinSet(points)

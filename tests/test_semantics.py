@@ -18,7 +18,7 @@ from mcdlo.rewriting import relativize
 from mcdlo.syntax import (ARITY, And, App, Const, Eq, Exists,
                           ExistsPartition, Forall, Implies, LtEAtom, Not, Or,
                           SIGNATURES, SubsetAtom, Var, and_all, free_vars,
-                          parse, print_formula, subformulas)
+                          is_existential, parse, print_formula, subformulas)
 
 from conftest import THREE_ATOMS_MINISCOPED, THREE_ATOMS_PRENEX, subsets_of
 
@@ -94,6 +94,15 @@ def test_bruteforce_matches_naive_reference(f):
     for vals in itertools.product(m.universe(), repeat=len(names)):
         asg = dict(zip(names, vals))
         assert bruteforce_eval(m, f, asg) == naive_msofin(m, f, asg)
+
+
+@pytest.mark.parametrize("mask", [0b1000, -1])
+def test_bruteforce_rejects_masks_outside_msofin(mask):
+    """An int mask must be below 2**n and not negative."""
+    f = Eq(App("inter", (Var("X"), Const("top"))), Var("X"))
+    assert bruteforce_eval(MsoFin(2), f, {"X": 0b11}) is True
+    with pytest.raises(EvalError, match=f"^X = {mask}: not a mask of MSO"):
+        bruteforce_eval(MsoFin(2), f, {"X": mask})
 
 
 def naive_gridw(ev, f, env):
@@ -594,6 +603,56 @@ def test_query_verdicts_match_evaluators_on_make_grid(kind, data):
         stabilized=want[1] == want[2])
 
 
+def reference_reports(verdicts, k, kmax):
+    """The grid_eval(k) and stabilize(kmax) reports that verdicts, one per
+    budget, give."""
+    grid = EvalReport(verdicts[k], k, verdicts[k] == verdicts[k + 1])
+    for j in range(1, kmax):
+        if verdicts[j] == verdicts[j + 1]:
+            return grid, EvalReport(verdicts[j], j, True)
+    return grid, EvalReport(verdicts[kmax], kmax, False)
+
+
+# Sentences whose verdict changes from budget 1 to budget 2 when the only
+# seed is 0 (2 grid points, then 3): "some set has 3 points" is false, then
+# true, and its universal negation is true, then false.
+_THIRD_POINT = ("(and (= (min {0}) {0}) (and (not (= {0} bot)) "
+                "(not (= {0} zero))))")
+BUDGET_SENSITIVE = {
+    "w": [parse(t, WSO) for t in (
+        "(exists X (not (= (msinv (msinv X X) X) bot)))",
+        "(forall X (= (msinv (msinv X X) X) bot))")],
+    "l": [parse(t, SIGNATURES["lci"]) for t in (
+        f"(exists X (and {_THIRD_POINT.format('X')} (exists Y (and "
+        f"{_THIRD_POINT.format('Y')} (not (= X Y))))))",
+        f"(forall X (implies {_THIRD_POINT.format('X')} (forall Y (implies "
+        f"{_THIRD_POINT.format('Y')} (= X Y)))))")],
+}
+
+
+@pytest.mark.parametrize("kind", ["w", "l"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reports_match_a_fresh_search_at_every_budget(kind, data):
+    """grid_eval and stabilize, which let a verdict that transfers stand for
+    the next budget, report what a search of every budget on its own
+    evaluator gives.  L stops at budget 2 to keep its searches small."""
+    f = data.draw(st.one_of(
+        st.sampled_from(BUDGET_SENSITIVE[kind]),
+        wso_formulas if kind == "w" else lci_formulas), label="f")
+    seed = Fraction(data.draw(st.integers(1, 11), label="seed"), 12)
+    values = ([FinSet(), FinSet.of(seed)] if kind == "w"
+              else enumerate_interval_unions([Fraction(0), seed]))
+    asg = {n: data.draw(st.sampled_from(values), label=n)
+           for n in sorted(free_vars(f))}
+    top = 3 if kind == "w" else 2
+    want = reference_verdicts(kind, f, asg, range(1, top + 1))
+    for k in range(1, top):
+        grid, stable = reference_reports(want, k, k + 1)
+        assert grid_eval(kind, f, asg, k=k) == grid, k
+        assert stabilize(kind, f, asg, kmax=k + 1) == stable, k
+
+
 def count_analyses(monkeypatch, cls):
     """Counter of `analyse` calls by quantifier node, and of evaluators
     built, for every evaluator of class cls."""
@@ -614,8 +673,10 @@ def count_analyses(monkeypatch, cls):
 
 
 @pytest.mark.parametrize("kind,text", [
+    # false at every budget: an existential false verdict does not transfer,
+    # so budget 2 is searched too
     ("w", "(exists X (exists Y (and (= (inter X A) X) (and (= (inter Y X) Y) "
-          "(not (= Y bot))))))"),
+          "(and (not (= Y bot)) (not (= Y X)))))))"),
     ("w", "(forall X (implies (= (inter X A) X) (exists Y (and "
           "(= (inter Y X) Y) (= (min Y) Y)))))"),
     ("l", "(forall X (implies (= (max X) bot) (exists Y (= (l Y) (l X)))))"),
@@ -638,6 +699,62 @@ def test_each_quantifier_is_analysed_once_per_query(monkeypatch, kind, text):
     # the same verdict on an evaluator per budget that analyses afresh
     want = reference_verdicts(kind, f, {"A": value}, (1, 2, 3))
     assert report.verdict == want[report.budget_used]
+
+
+@pytest.mark.parametrize("kind,text,verdict,searched", [
+    ("w", "(exists X (and (= (inter X A) X) (not (= X bot))))", True, 1),
+    ("l", "(exists X (and (= (inter X A) X) (not (= X bot))))", True, 1),
+    ("w", "(forall X (implies (= (inter X A) X) (= X bot)))", False, 1),
+    ("l", "(forall X (= (min X) X))", False, 1),
+    ("w", "(exists X (and (= (inter X A) X) (and (not (= X bot)) "
+          "(not (= X A)))))", False, 2),
+    ("l", "(exists X (and (= (inter X A) X) (and (not (= X bot)) "
+          "(= (max X) bot))))", False, 2),
+])
+def test_a_verdict_that_transfers_is_not_searched_again(monkeypatch, kind,
+                                                        text, verdict,
+                                                        searched):
+    """An existential formula true at budget 1, or a universal one false
+    there, holds its verdict at budget 2 without a second evaluator; an
+    existential formula false at budgets 1 and 2 is searched at both."""
+    f = parse(text, WSO if kind == "w" else SIGNATURES["lci"])
+    cls = GridWEvaluator if kind == "w" else GridLEvaluator
+    _, built = count_analyses(monkeypatch, cls)
+    half = Fraction(1, 2)
+    value = (FinSet.of(half) if kind == "w"
+             else IntervalUnion(((half, half),)))
+    report = stabilize(kind, f, {"A": value})
+    assert built[cls] == searched
+    want = reference_verdicts(kind, f, {"A": value}, (1, 2))
+    assert want[1] == want[2] == verdict
+    assert report == EvalReport(verdict, 1, True)
+
+
+def existential_at(f, positive):
+    """Whether f, read at this polarity, has no universal quantifier and no
+    existential quantifier at the other one."""
+    if isinstance(f, Not):
+        return existential_at(f.body, not positive)
+    if isinstance(f, Implies):
+        return (existential_at(f.left, not positive)
+                and existential_at(f.right, positive))
+    if isinstance(f, (And, Or)):
+        return (existential_at(f.left, positive)
+                and existential_at(f.right, positive))
+    if isinstance(f, (Exists, Forall)):
+        return (positive == isinstance(f, Exists)
+                and existential_at(f.body, positive))
+    return isinstance(f, (Eq, SubsetAtom, LtEAtom))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(wso_formulas, lci_formulas))
+def test_is_existential_reads_either_polarity(f):
+    """The transfer test of a false verdict asks is_existential(f, False),
+    which answers for (not f)."""
+    assert is_existential(f) == existential_at(f, True)
+    assert (is_existential(f, False) == is_existential(Not(f))
+            == existential_at(f, False))
 
 
 def test_partition_body_is_split_once_per_node(monkeypatch):
