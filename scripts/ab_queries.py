@@ -10,13 +10,16 @@ and each side runs its own copy of the queries of the given passes.  In
 every round each query runs on both sides, one after the other, and the
 side that goes first alternates from one query to the next and from one
 round to the next, so a drift in machine speed falls on both sides alike.
+A query's answer is its line of scripts/query_outputs.py, printed psi or
+translation included, so a change of text at the same node count shows.
 The garbage collector is off during a round and collects between rounds:
 each round allocates alike, so a collection would land on the same side of
 the same query every round.  A query's time on a side is its least over the
 rounds; a side's total is the sum of those minima.  The last line printed
-is a JSON object with both totals, their ratio B / A and the number of
-queries whose answers differ.  A sum dominated by a few long queries (as on
-l-grid) needs more rounds to settle than one of many short ones.
+is a JSON object with both totals, their ratio B / A, the number of
+queries whose answers differ and the first few of their qids.  A sum
+dominated by a few long queries (as on l-grid) needs more rounds to settle
+than one of many short ones.
 
 The checkouts are only read: no bytecode is written.
 """
@@ -27,12 +30,15 @@ import argparse
 import gc
 import importlib
 import json
+import runpy
 import signal
 import sys
 import time
 from pathlib import Path
 
 WORKLOADS = ("w-grid", "l-grid", "fv-params", "translate")
+output_line = runpy.run_path(
+    str(Path(__file__).with_name("query_outputs.py")))["output_line"]
 
 
 class _Timeout(BaseException):
@@ -83,14 +89,14 @@ def run_query(side: tuple, q, done: dict, limit: float) -> tuple:
             o = wl.execute(q, done)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
-        answer = (o.status, o.verdict, o.stabilized, o.out_nodes)
     except _Timeout:
         o, answer = None, ("timeout",)
     except Exception as exc:  # a failed query is an answer too
         o, answer = None, ("error", f"{type(exc).__name__}: {exc}")
     seconds = time.perf_counter() - t0
-    if o is not None:
+    if o is not None:  # printing psi is not the query's time
         done[q.qid] = o
+        answer = output_line(wl, q, o)
     return seconds, answer
 
 
@@ -128,10 +134,11 @@ def compare(a: Path, b: Path, workload: str, seeds, passes,
         signal.signal(signal.SIGALRM, old)
         _activate(before)
     total_a, total_b = sum(best[0]), sum(best[1])
+    differ = [q.qid for q, x, y in zip(qa, *answers) if x != y]
     return {"workload": workload, "queries": len(qa), "rounds": rounds,
             "a_s": round(total_a, 6), "b_s": round(total_b, 6),
             "ratio": round(total_b / total_a, 4),
-            "answers_differ": sum(x != y for x, y in zip(*answers))}
+            "answers_differ": len(differ), "first_differing": differ[:5]}
 
 
 def main(argv=None) -> int:
@@ -152,6 +159,9 @@ def main(argv=None) -> int:
           f"{result['rounds']} rounds; sum of per-query minima "
           f"A {result['a_s']:.4f} s, B {result['b_s']:.4f} s, "
           f"B/A {result['ratio']:.3f}")
+    if result["answers_differ"]:
+        print(f"{result['answers_differ']} answers differ, first at "
+              f"{', '.join(result['first_differing'])}")
     print(json.dumps(result, sort_keys=True))
     return 0
 

@@ -81,7 +81,7 @@ def _load_params(args, sig: str) -> dict:
         raise UsageError("parameter file must be a JSON object")
     try:
         return {name: _decode_value(value, sig) for name, value in data.items()}
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # a misshaped array: TypeError
         raise UsageError(f"bad parameter value: {exc}") from exc
 
 

@@ -5,7 +5,11 @@ with a list of component formulas of shared arity.  `fv_reduce` folds an
 arbitrary power-signature formula into a single acceptable sequence; the
 existential step uses the classical partition construction, realised as an
 `ExistsPartition` node whose semantics is a search over labellings of index
-points by component patterns.
+points by component patterns.  Its walk carries a support map from support
+variables to component formulas, and names each component formula once per
+call, so equal formulas share one support variable at every level.  Every
+support still draws a fresh name, because partition blocks draw theirs from
+the same counter and the block names of psi stay as they were.
 
 The existential step builds only the sign patterns of its component formulas
 that some component can realise: it backtracks over the component formulas
@@ -122,38 +126,24 @@ def atomic_sequences() -> dict:
 # ---------------------------------------------------------------------------
 # The reduction
 
-def _instantiate(seq: AcceptableSequence, args: Sequence[str],
-                 context: tuple[str, ...]) -> AcceptableSequence:
-    actuals = {formal: Var(actual) for formal, actual in zip(seq.arity, args)}
-    return AcceptableSequence(seq.index_formula, seq.support_vars,
-                              tuple(substitute(theta, actuals)
-                                    for theta in seq.thetas), context)
-
-
-def _dedup(seq: AcceptableSequence) -> AcceptableSequence:
-    """Merge syntactically identical component formulas, rewriting the index
-    formula's support variables accordingly."""
-    seen: dict[Formula, str] = {}
-    merged: dict[str, Var] = {}
-    kept_vars: list[str] = []
-    kept_thetas: list[Formula] = []
-    for y, theta in zip(seq.support_vars, seq.thetas):
-        if theta in seen:
-            merged[y] = Var(seen[theta])
-        else:
-            seen[theta] = y
-            kept_vars.append(y)
-            kept_thetas.append(theta)
-    return AcceptableSequence(substitute(seq.index_formula, merged),
-                              tuple(kept_vars), tuple(kept_thetas), seq.arity)
-
-
 def fv_reduce(phi: Formula, context: Optional[Sequence[str]] = None,
               theta_cap: int = DEFAULT_THETA_CAP,
               realizable: Optional[Callable[[Formula, Any], Any]] = None
               ) -> AcceptableSequence:
     """Fold a power-signature formula into one acceptable sequence whose
     relation is equivalent to the formula over every generalised power.
+
+    The walk returns each subformula's index formula and its supports, a
+    map from support variables to component formulas in first-occurrence
+    order.  One dict per call gives each component formula one name, the
+    first drawn for it: an atom substitutes its actuals into its thetas and
+    renames its index formula once, a connective merges its two maps, and
+    equal thetas share a name with no merging pass.  Each support still
+    draws a name, used or not, since block names share the counter.  This
+    is sound: an existential step substitutes its body's names only inside
+    the body's own index formula, where its variable is bound, and a leaf
+    eta contains every body theta, so it never equals one; a name free
+    anywhere else keeps its meaning there.
 
     The existential step searches the sign patterns of its m component
     formulas depth first, deciding one formula per level, and asks
@@ -174,38 +164,39 @@ def fv_reduce(phi: Formula, context: Optional[Sequence[str]] = None,
             return True
     if context is None:
         context = tuple(sorted(free_vars(phi)))
-    context = tuple(context)
     # support and block names share one generator, so every partition block
     # is named apart from every other, across nesting levels too
     fresh = FreshVars(context, prefix="Ys")
+    names: dict[Formula, str] = {}
 
-    def rename_supports(seq: AcceptableSequence) -> AcceptableSequence:
-        renamed = [fresh.fresh("Ys") for _ in seq.support_vars]
-        phi2 = substitute(seq.index_formula,
-                          {y: Var(new) for y, new in zip(seq.support_vars,
-                                                          renamed)})
-        return AcceptableSequence(phi2, tuple(renamed), seq.thetas, seq.arity)
+    def name(theta: Formula, supports: dict) -> Var:
+        # a name is drawn even for a formula named already: the block names
+        # share the counter, and test_nested_psi_text_is_pinned pins them
+        y = names.setdefault(theta, fresh.fresh("Ys"))
+        supports[y] = theta
+        return Var(y)
 
-    def go(g: Formula, ctx: tuple[str, ...]) -> AcceptableSequence:
+    def go(g: Formula) -> tuple[Formula, dict]:
         if isinstance(g, RAtom):
-            return rename_supports(_instantiate(g.seq, g.args, ctx))
+            seq, supports = g.seq, {}
+            actuals = {formal: Var(actual)
+                       for formal, actual in zip(seq.arity, g.args)}
+            renamed = {y: name(substitute(theta, actuals), supports)
+                       for y, theta in zip(seq.support_vars, seq.thetas)}
+            return substitute(seq.index_formula, renamed), supports
         if isinstance(g, Not):
-            sub = go(g.body, ctx)
-            return AcceptableSequence(Not(sub.index_formula), sub.support_vars,
-                                      sub.thetas, ctx)
+            body, supports = go(g.body)
+            return Not(body), supports
         if isinstance(g, (And, Or, Implies)):
-            left = go(g.left, ctx)
-            right = go(g.right, ctx)
-            combined = AcceptableSequence(
-                type(g)(left.index_formula, right.index_formula),
-                left.support_vars + right.support_vars,
-                left.thetas + right.thetas, ctx)
-            return _dedup(combined)
+            left, supports = go(g.left)
+            right, more = go(g.right)
+            return type(g)(left, right), {**supports, **more}
         if isinstance(g, Forall):
-            return go(Not(Exists(g.var, Not(g.body))), ctx)
+            return go(Not(Exists(g.var, Not(g.body))))
         if isinstance(g, Exists):
-            sub = _dedup(go(g.body, ctx + (g.var,)))
-            m = len(sub.thetas)
+            body, body_supports = go(g.body)
+            thetas = list(body_supports.values())
+            m = len(thetas)
             # each leaf: the indices of its positive literals and its eta
             leaves: list[tuple[frozenset, Formula]] = []
 
@@ -218,7 +209,7 @@ def fv_reduce(phi: Formula, context: Optional[Sequence[str]] = None,
                             f"realizable patterns of {m} component formulas")
                     leaves.append((positive, eta))
                     return
-                theta = sub.thetas[j]
+                theta = thetas[j]
                 for lit, pos in ((theta, positive | {j}), (Not(theta), positive)):
                     lits = literals + (lit,)
                     child = Exists(g.var, and_all(lits))
@@ -228,27 +219,26 @@ def fv_reduce(phi: Formula, context: Optional[Sequence[str]] = None,
 
             search(0, (), frozenset(),
                    Exists(g.var, Eq(Const("bot"), Const("bot"))), None)
-            new_vars = [fresh.fresh("Ys") for _ in leaves]
+            supports: dict = {}
+            new_vars = [name(eta, supports) for _sigma, eta in leaves]
             blocks = [fresh.fresh("Zp") for _ in leaves]
             unions = {}
-            for j, y in enumerate(sub.support_vars):
+            for j, y in enumerate(body_supports):
                 union_term: object = None
                 for (sigma, _eta), z in zip(leaves, blocks):
                     if j in sigma:
                         union_term = Var(z) if union_term is None else App(
                             "union", (union_term, Var(z)))
                 unions[y] = Const("bot") if union_term is None else union_term
-            inner = substitute(sub.index_formula, unions)
-            guards = [SubsetAtom(Var(z), Var(y))
-                      for z, y in zip(blocks, new_vars)]
-            phi_new = ExistsPartition(tuple(blocks),
-                                      and_all(guards + list(conjuncts(inner))))
-            return _dedup(AcceptableSequence(
-                phi_new, tuple(new_vars), tuple(eta for _s, eta in leaves),
-                ctx))
+            inner = substitute(body, unions)
+            guards = [SubsetAtom(Var(z), y) for z, y in zip(blocks, new_vars)]
+            return ExistsPartition(tuple(blocks), and_all(
+                guards + list(conjuncts(inner)))), supports
         raise EvalError(f"not a power-signature formula: {g!r}")
 
-    return go(phi, context)
+    index_formula, supports = go(phi)
+    return AcceptableSequence(index_formula, tuple(supports),
+                              tuple(supports.values()), tuple(context))
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +283,7 @@ class PowerStructure:
         all |M|^|I| power elements."""
         env = dict(env or {})
         if isinstance(phi, RAtom):
-            fs = [env[a] for a in phi.args]
-            seq = _instantiate(phi.seq, phi.args, tuple(phi.args))
-            return self.r_atom(seq, fs)
+            return self.r_atom(phi.seq, [env[a] for a in phi.args])
         if isinstance(phi, Not):
             return not self.eval(phi.body, env)
         if isinstance(phi, And):

@@ -356,10 +356,12 @@ class _MaskEvaluator:
         """The bit of each given point; a query ranks its values itself."""
         return {p: i * self.step for i, p in enumerate(self.given)}
 
-    def encode(self, value) -> int:
-        """The mask of a value whose points are given points."""
+    def encode(self, value, index: Optional[dict] = None) -> int:
+        """The mask of a value whose points are given points; a caller that
+        encodes many values passes `index` once built."""
+        index = self.index if index is None else index
         try:
-            return self.mask(self.ranks(value, self.index), 1)
+            return self.mask(self.ranks(value, index), 1)
         except KeyError as missing:
             raise EvalError(f"point {missing.args[0]} outside the "
                             f"{self.name} grid") from None
@@ -491,7 +493,8 @@ def bruteforce_eval(m: MsoFin, f: Formula,
     """Exact truth of f in MSO(n); assignment maps variables to frozensets of
     ints (or bitmask ints below 2**n)."""
     ev = BruteForceEvaluator(m.n)
-    env = {name: v if isinstance(v, int) else ev.encode(v)
+    index = ev.index
+    env = {name: v if isinstance(v, int) else ev.encode(v, index)
            for name, v in (assignment or {}).items()}
     for name, v in env.items():
         if not 0 <= v <= ev.full:

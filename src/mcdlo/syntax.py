@@ -153,11 +153,15 @@ def and_all(parts: Iterable[Formula]) -> Formula:
 
 def conjuncts(f: Formula):
     """The top-level conjuncts of a formula, left to right."""
-    if isinstance(f, And):
-        yield from conjuncts(f.left)
-        yield from conjuncts(f.right)
-    else:
-        yield f
+    # an explicit stack, as in subformulas: and_all nests to the left
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack.append(g.right)
+            stack.append(g.left)
+        else:
+            yield g
 
 
 def or_all(parts: Iterable[Formula]) -> Formula:

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import runpy
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -89,6 +90,23 @@ def test_eval_lci_params(capsys, tmp_path):
                            "--params", str(params),
                            "--formula", "(= (max A) bot)")
     assert code == EXIT_TRUE
+
+
+@pytest.mark.parametrize("command, value", [
+    (("eval", "--sig", "wso"), [["0/1", "1/2"]]),
+    (("fv-reduce",), [["0/1", "1/2"]]),
+    (("eval", "--sig", "lci"), [1]),
+])
+def test_misshaped_parameter_value_is_a_usage_error(capsys, tmp_path,
+                                                    command, value):
+    """A JSON array of the wrong shape is a usage error, not a traceback
+    whose exit code would read as a false verdict."""
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"A": value}))
+    code, out, err = run_cli(capsys, *command, "--params", str(params),
+                             "--formula", "(= A A)")
+    assert (code, out) == (EXIT_USAGE, None)
+    assert err.startswith("error: bad parameter value: ")
 
 
 def test_translate_wso_to_lci_is_existential(capsys):
@@ -301,9 +319,12 @@ def test_query_outputs_script_is_deterministic():
     assert all(line["status"] == "ok" for line in lines)
 
 
-def test_ab_queries_script_times_a_checkout_against_itself(capsys):
+def test_ab_queries_script_times_a_checkout_against_itself(capsys,
+                                                           tmp_path):
     """With A = B the two sides give the same answers, and the sums of
-    their per-query minima agree within 5%."""
+    their per-query minima agree within 5%.  Against a copy that names
+    partition blocks apart, every psi prints differently at the same node
+    count, and those answers differ."""
     root = Path(__file__).resolve().parent.parent
     main_ = runpy.run_path(str(root / "scripts" / "ab_queries.py"))["main"]
     semantics = sys.modules["mcdlo.semantics"]
@@ -311,7 +332,25 @@ def test_ab_queries_script_times_a_checkout_against_itself(capsys):
                   "1", "--pass", "0", "--rounds", "5"]) == 0
     result = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert result["queries"] > 0 and result["answers_differ"] == 0
+    assert result["first_differing"] == []
     assert abs(result["ratio"] - 1) < 0.05
+    assert sys.modules["mcdlo.semantics"] is semantics
+
+    other = tmp_path / "other"
+    for part in ("src", "perfbench"):
+        shutil.copytree(root / part, other / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    fefvau = other / "src" / "mcdlo" / "fefvau.py"
+    text = fefvau.read_text()
+    assert 'fresh.fresh("Zp")' in text
+    fefvau.write_text(text.replace('fresh.fresh("Zp")', 'fresh.fresh("Zq")'))
+    assert main_([str(root), str(other), "--workload", "fv-params", "--seed",
+                  "1", "--pass", "0", "--rounds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    result = json.loads(lines[-1])
+    assert result["answers_differ"] > 0
+    assert lines[-2].startswith(f"{result['answers_differ']} answers differ")
+    assert len(result["first_differing"]) == min(5, result["answers_differ"])
     assert sys.modules["mcdlo.semantics"] is semantics
 
 

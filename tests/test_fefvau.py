@@ -69,26 +69,52 @@ def test_fv_reduce_equivalent_on_enumerable_power():
         _assert_same_relation(phi, fv_reduce(phi, context=("U", "V")))
 
 
+def _exact(eta, _within):
+    """A pruning callback: whether eta holds in MSO(2) for some value of its
+    free variables."""
+    closed = eta
+    for name in sorted(free_vars(eta)):
+        closed = Exists(name, closed)
+    return bruteforce_eval(MsoFin(2), closed, {})
+
+
 def test_fv_reduce_pruning_is_exact_on_enumerable_power():
     """Cutting the sign patterns whose existential closure is false in
     MSO(2) leaves the relation of the folded sequence unchanged."""
-    m2 = MsoFin(2)
-
-    def exact(eta, _within):
-        closed = eta
-        for name in sorted(free_vars(eta)):
-            closed = Exists(name, closed)
-        return bruteforce_eval(m2, closed, {})
-
     ctx = ("U", "V")
     cut = 0
     for phi in _power_formulas():
-        seq = fv_reduce(phi, context=ctx, realizable=exact)
+        seq = fv_reduce(phi, context=ctx, realizable=_exact)
         every = fv_reduce(phi, context=ctx)
         cut += (len(block_names(every.index_formula))
                 - len(block_names(seq.index_formula)))
         _assert_same_relation(phi, seq)
     assert cut > 0
+
+
+@pytest.mark.parametrize("realizable", [None, _exact])
+def test_fv_reduce_names_each_component_formula_once(realizable):
+    """One support variable per component formula, and one component
+    formula per support variable."""
+    for phi in _power_formulas():
+        seq = fv_reduce(phi, context=("U", "V"), realizable=realizable)
+        assert len(set(seq.support_vars)) == len(seq.support_vars), phi
+        assert len(set(seq.thetas)) == len(seq.thetas), phi
+
+
+@pytest.mark.parametrize("realizable", [None, _exact])
+def test_shared_existential_subformula_keeps_its_meaning(realizable):
+    """The same existential subformula in both arms of an `and` and again
+    inside another existential, where V is bound and whose body repeats one
+    of its thetas with U free: one name per formula serves every place,
+    since each existential step substitutes names only inside its body."""
+    seqs = atomic_sequences()
+    shared = Exists("U", And(RAtom(seqs["subset"], ("V", "U")),
+                             Not(RAtom(seqs["="], ("U", "V")))))
+    phi = And(shared, Or(Not(shared), Exists("V", And(
+        shared, RAtom(seqs["="], ("U", "V"))))))
+    _assert_same_relation(phi, fv_reduce(phi, context=("U", "V"),
+                                         realizable=realizable))
 
 
 def test_fv_reduce_respects_theta_cap():
