@@ -10,8 +10,8 @@ between the signatures of MSO(n), W(I), and L(I).
 """
 
 from .order import FinSet, IntervalUnion, Rat, format_rat, parse_rat
-from .models import (ElementRestriction, IntervalRestriction, LciStructure,
-                     MsoFin, WsoStructure, eval_atomic, eval_term, restrict)
+from .models import (ElementRestriction, LciStructure, MsoFin, WsoStructure,
+                     eval_atomic, eval_term, restrict)
 from .semantics import EvalReport, bruteforce_eval, grid_eval, stabilize
 from .syntax import (MO, MSOFIN, WSO, LCI, SIGNATURES, parse, print_formula)
 from .rewriting import (CodePair, code_domain, defeq_translate,
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Rat", "FinSet", "IntervalUnion", "format_rat", "parse_rat",
     "MsoFin", "WsoStructure", "LciStructure", "ElementRestriction",
-    "IntervalRestriction", "restrict", "eval_term", "eval_atomic",
+    "restrict", "eval_term", "eval_atomic",
     "EvalReport", "bruteforce_eval", "grid_eval", "stabilize", "relativize",
     "MO", "MSOFIN", "WSO", "LCI", "SIGNATURES", "parse", "print_formula",
     "CodePair", "code_domain", "defeq_translate", "qf_positive_rewrite",

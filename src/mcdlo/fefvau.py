@@ -36,16 +36,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
-from .order import FinSet, Rat
+from .order import FinSet
 from .syntax import (ATOM_TYPES, And, App, Const, Eq, Exists, ExistsPartition,
                      Forall, Formula, FreshVars, Implies, LtEAtom, Not, Or,
                      RAtom, SubsetAtom, Var, all_vars, and_all, conjuncts,
                      free_vars, map_atoms, print_formula, subformulas,
                      substitute, subterms)
-from .models import EvalError, MsoFin, WsoStructure, restrict
+from .models import EvalError, MsoFin
 from .semantics import (BruteForceEvaluator, EvalReport, bruteforce_eval,
                         stabilize)
 
@@ -74,21 +73,6 @@ class AcceptableSequence:
             extra = free_vars(theta) - set(self.arity)
             if extra:
                 raise ValueError(f"component formula has stray variables {extra}")
-
-
-@dataclass(frozen=True)
-class PowerElement:
-    """A function from a finite index set into component values."""
-
-    index: FinSet
-    components: tuple
-
-    def __post_init__(self):
-        if len(self.components) != len(self.index):
-            raise ValueError("one component per index point required")
-
-    def component(self, i: Rat):
-        return self.components[self.index.points.index(Fraction(i))]
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +150,7 @@ def fv_reduce(phi: Formula, context: Optional[Sequence[str]] = None,
         context = tuple(sorted(free_vars(phi)))
     # support and block names share one generator, so every partition block
     # is named apart from every other, across nesting levels too
-    fresh = FreshVars(context, prefix="Ys")
+    fresh = FreshVars(context)
     names: dict[Formula, str] = {}
 
     def name(theta: Formula, supports: dict) -> Var:
@@ -308,55 +292,13 @@ class PowerStructure:
 
 
 # ---------------------------------------------------------------------------
-# Supports and decomposition over W(I)
-
-def support(theta: Formula,
-            fs: Sequence[PowerElement]) -> tuple[FinSet, bool]:
-    """Index points whose component values satisfy theta in W(I); second
-    component reports whether every grid verdict stabilized."""
-    if not fs:
-        raise ValueError("at least one power element required")
-    index = fs[0].index
-    names = [f"Xc{t + 1}" for t in range(len(fs))]
-    hits = []
-    all_stable = True
-    for i in index.points:
-        assignment = {nm: f.component(i) for nm, f in zip(names, fs)}
-        report = stabilize("w", theta, assignment, kmax=4)
-        all_stable = all_stable and report.stabilized
-        if report.verdict:
-            hits.append(i)
-    return FinSet.from_iterable(hits), all_stable
-
+# The parameter hull
 
 def funky(As: Sequence[FinSet]) -> FinSet:
     """The parameter hull: {0} together with the union of the tuple."""
     out = FinSet.of(0)
     for a in As:
         out = out.union(a)
-    return out
-
-
-def decompose(As: Sequence[FinSet], b: FinSet) -> PowerElement:
-    """Split b over the windows between consecutive hull points, pulling each
-    window back to W(I) through the affine isomorphism."""
-    index = funky(As)
-    components = []
-    for i in index.points:
-        j = index.successor(i)
-        window = restrict(WsoStructure(), (i, j))
-        lo, hi = i, Fraction(1) if j is None else j
-        part = FinSet.from_iterable(p for p in b.points if lo <= p < hi)
-        components.append(window.project(part))
-    return PowerElement(index=index, components=tuple(components))
-
-
-def reassemble(pe: PowerElement) -> FinSet:
-    out = FinSet()
-    for i, comp in zip(pe.index.points, pe.components):
-        j = pe.index.successor(i)
-        window = restrict(WsoStructure(), (i, j))
-        out = out.union(window.embed(comp))
     return out
 
 
@@ -367,7 +309,6 @@ def reassemble(pe: PowerElement) -> FinSet:
 class ParameterTranslation:
     psi: Formula
     sentences: list[Formula]
-    reports: list[EvalReport]
     stabilized: bool
     blocks_kept: int      # partition blocks of psi
     psi_nodes: int        # formula and term nodes of psi
@@ -448,12 +389,11 @@ def translate_with_parameters(
         raise EvalError("free variables of phi must be among the parameters")
     if oracle is None:
         oracle = default_sentence_oracle
-    fresh = FreshVars(all_vars(phi) | set(params), prefix="Xp")
+    fresh = FreshVars(all_vars(phi) | set(params))
     phi_pi, pseudo = _power_formula(phi, fresh)
     all_params = params + tuple(pseudo.values())
 
     sentences: list[Formula] = []
-    reports: list[EvalReport] = []
     cache: dict[Formula, bool] = {}
     all_stable = True
     cache_hits = pruned = 0
@@ -466,7 +406,6 @@ def translate_with_parameters(
             return verdict
         report = oracle(sentence)
         sentences.append(sentence)
-        reports.append(report)
         all_stable = all_stable and report.stabilized
         cache[sentence] = report.verdict
         return report.verdict
@@ -527,7 +466,7 @@ def translate_with_parameters(
         gates[y] = gated if gated is not None else Const("bot")
     psi = substitute(seq.index_formula, gates)
     nodes, blocks = _psi_counts(psi)
-    return ParameterTranslation(psi=psi, sentences=sentences, reports=reports,
+    return ParameterTranslation(psi=psi, sentences=sentences,
                                 stabilized=all_stable, blocks_kept=blocks,
                                 psi_nodes=nodes, patterns_pruned=pruned,
                                 oracle_cache_hits=cache_hits)

@@ -1,5 +1,6 @@
 """Concrete structures: MSO(n) on the powerset of a finite order, W(I) on
-finite rational sets, L(I) on interval unions, and restriction substructures.
+finite rational sets, L(I) on interval unions, and the element restriction of
+W(I) to the subsets of a finite set.
 
 Quantifier evaluation lives in `semantics`; this module only interprets terms
 and atomic formulas, which is exact on all three structures.
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .order import FinSet, IntervalUnion
 from .syntax import (ATOM_TYPES, And, App, Const, Eq, EvalError, Implies,
@@ -187,7 +188,7 @@ def eval_qf(structure: Structure, f, assignment: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Restrictions
+# The element restriction
 
 @dataclass(frozen=True)
 class ElementRestriction:
@@ -210,45 +211,8 @@ class ElementRestriction:
         return FinSet.from_iterable(self.region.points[k] for k in s)
 
 
-@dataclass(frozen=True)
-class IntervalRestriction:
-    """W(I) restricted to finite subsets of [i, j), isomorphic to W(I) via the
-    affine order isomorphism x -> i + (j - i) x (with j = 1 for the unbounded
-    window)."""
-
-    left: Fraction
-    right: Optional[Fraction]  # None encodes +inf, i.e. the window [left, 1)
-
-    def __post_init__(self):
-        j = Fraction(1) if self.right is None else self.right
-        if not self.left < j:
-            raise ValueError(f"empty window [{self.left}, {j})")
-
-    def _bound(self) -> Fraction:
-        return Fraction(1) if self.right is None else self.right
-
-    def embed_point(self, x: Fraction) -> Fraction:
-        return self.left + (self._bound() - self.left) * x
-
-    def project_point(self, y: Fraction) -> Fraction:
-        return (y - self.left) / (self._bound() - self.left)
-
-    def embed(self, a: FinSet) -> FinSet:
-        return FinSet.from_iterable(self.embed_point(p) for p in a.points)
-
-    def project(self, a: FinSet) -> FinSet:
-        for p in a.points:
-            if not (self.left <= p < self._bound()):
-                raise EvalError(f"{a} is not contained in the window")
-        return FinSet.from_iterable(self.project_point(p) for p in a.points)
-
-
-Restriction = Union[ElementRestriction, IntervalRestriction]
-
-
-def restrict(structure: WsoStructure, region) -> Restriction:
-    """Restriction substructure of W(I), by element or half-open interval."""
-    if isinstance(region, FinSet):
-        return ElementRestriction(region)
-    i, j = region
-    return IntervalRestriction(Fraction(i), None if j is None else Fraction(j))
+def restrict(structure: WsoStructure, region: FinSet) -> ElementRestriction:
+    """The restriction of W(I) to the subsets of a finite set."""
+    if not isinstance(region, FinSet):
+        raise TypeError(f"a restriction region is a FinSet, got {region!r}")
+    return ElementRestriction(region)

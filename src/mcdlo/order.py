@@ -101,20 +101,11 @@ class FinSet:
 
     def successor(self, i: Rat) -> Optional[Rat]:
         """Least member strictly above i; None at the maximum."""
-        return self._step(i, +1)
-
-    def predecessor(self, i: Rat) -> Optional[Rat]:
-        """Greatest member strictly below i; None at the minimum."""
-        return self._step(i, -1)
-
-    def _step(self, i: Rat, direction: int) -> Optional[Rat]:
         i = Fraction(i)
         if i not in set(self.points):
             raise ValueError(f"{i} is not a member of {self}")
-        idx = self.points.index(i) + direction
-        if 0 <= idx < len(self.points):
-            return self.points[idx]
-        return None
+        idx = self.points.index(i) + 1
+        return self.points[idx] if idx < len(self.points) else None
 
     def sinv(self, other: "FinSet") -> "FinSet":
         """Members of self whose successor within self lies in other."""

@@ -117,11 +117,6 @@ def _literals(f: Formula, literal) -> Formula:
     return walk(f, False)
 
 
-def nnf(f: Formula) -> Formula:
-    """Push negations down to atoms and expand implications."""
-    return _literals(f, lambda a, negated: Not(a) if negated else a)
-
-
 # ---------------------------------------------------------------------------
 # Positive existential rewriting over W(I)
 

@@ -705,7 +705,10 @@ def _budget_verdicts(kind: str, f: Formula, assignment: dict,
         _check_size(len(seeds), k, limit)
         below = verdicts.get(k - 1)
         if below is not None and below not in transfers:
-            transfers[below] = is_existential(f, below)
+            try:
+                transfers[below] = is_existential(f, below)
+            except RecursionError:
+                raise EvalError("formula nested too deeply") from None
         if transfers.get(below):
             verdicts[k] = below
             return below

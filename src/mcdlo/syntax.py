@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 
 class SyntaxErrorAt(ValueError):
@@ -492,13 +492,11 @@ def all_vars(f: Formula) -> set[str]:
 class FreshVars:
     """Generator of variable names avoiding a given set."""
 
-    def __init__(self, avoid: Iterable[str] = (), prefix: str = "V"):
+    def __init__(self, avoid: Iterable[str] = ()):
         self.avoid = set(avoid)
-        self.prefix = prefix
         self.counter = 0
 
-    def fresh(self, prefix: Optional[str] = None) -> str:
-        prefix = prefix or self.prefix
+    def fresh(self, prefix: str) -> str:
         while True:
             self.counter += 1
             name = f"{prefix}{self.counter}"
@@ -580,18 +578,6 @@ def substitute(f: Formula, mapping: dict) -> Formula:
 # ---------------------------------------------------------------------------
 # Unnesting
 
-def _app_count(t: Term) -> int:
-    if isinstance(t, App):
-        return 1 + sum(_app_count(a) for a in t.args)
-    return 0
-
-
-def atom_is_unnested(f: Formula) -> bool:
-    if not isinstance(f, ATOM_TYPES):
-        raise TypeError("expected an atomic formula")
-    return _app_count(f.left) + _app_count(f.right) <= 1
-
-
 def unnest_atom(f: Formula, fresh: FreshVars) -> Formula:
     """Hoist nested function applications out of an atomic formula using
     existentially quantified auxiliaries, preserving truth in every structure.
@@ -633,11 +619,6 @@ def unnest(f: Formula, fresh: FreshVars) -> Formula:
     function symbol, the rest being variables and constants; auxiliaries are
     named by `fresh`.  First-order input only, as for `map_atoms`."""
     return map_atoms(f, lambda g: unnest_atom(g, fresh))
-
-
-def is_unnested(f: Formula) -> bool:
-    return all(atom_is_unnested(g) for g in subformulas(f)
-               if isinstance(g, ATOM_TYPES))
 
 
 # ---------------------------------------------------------------------------

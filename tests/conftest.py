@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mcdlo.selftest import POOL3, POOL4, POOL6, subsets_of  # noqa: F401
+from mcdlo.selftest import POOL3, POOL4, subsets_of  # noqa: F401
 
 POOL5 = (Fraction(0), Fraction(1, 5), Fraction(2, 5), Fraction(3, 5),
          Fraction(4, 5))

@@ -20,15 +20,16 @@ from mcdlo.fefvau import PowerStructure, atomic_sequences, funky, fv_reduce, \
 from mcdlo.models import (ElementRestriction, LciStructure, MsoFin,
                           WsoStructure, eval_atomic, eval_qf, restrict)
 from mcdlo.order import FinSet, IntervalUnion, enumerate_interval_unions
-from mcdlo.rewriting import (code_domain, defeq_translate, phi_mem,
-                             phi_subset, qf_positive_rewrite, is_positive_wso,
-                             relativize)
+from mcdlo.rewriting import (defeq_translate, phi_mem, phi_subset,
+                             qf_positive_rewrite, is_positive_wso, relativize)
+from mcdlo.selftest import (suite_endpoint_code_domain,
+                            suite_nonempty_characterisation)
 from mcdlo.semantics import bruteforce_eval, grid_eval, stabilize
 from mcdlo.syntax import (And, App, Const, Eq, Exists, Forall, FreshVars,
                           LtEAtom, Not, Or, RAtom, SIGNATURES, SubsetAtom,
                           Var, free_vars, parse, print_formula)
 
-from conftest import PARAM_CORPUS, POOL3, POOL4, POOL5, POOL6, subsets_of
+from conftest import PARAM_CORPUS, POOL3, POOL4, POOL5, subsets_of
 
 W = WsoStructure()
 MO = SIGNATURES["mo"]
@@ -48,14 +49,8 @@ def report(num, name, failures, cases, elapsed, budget):
 
 def test_criterion_01_nonempty_characterisation():
     t0 = time.time()
-    zero = FinSet.of(0)
-    failures = cases = 0
-    for a in subsets_of(POOL6):
-        cases += 1
-        lhs = not a.is_empty()
-        rhs = a == zero or zero.issubset(a.union(zero).sinv(a))
-        failures += lhs != rhs
-    report(1, "nonempty characterisation", failures, cases,
+    suite = suite_nonempty_characterisation()
+    report(1, "nonempty characterisation", suite.failures, suite.cases,
            time.time() - t0, 1.0)
 
 
@@ -129,15 +124,9 @@ def test_criterion_02_addendum_bounded_witness_admits_spurious_results():
 
 def test_criterion_03_endpoint_pair_lemma():
     t0 = time.time()
-    realizable = {(u.left_endpoints(), u.right_endpoints())
-                  for u in enumerate_interval_unions(POOL4, include_end=True)
-                  if not u.is_empty()}
-    failures = cases = 0
-    for b in subsets_of(POOL4):
-        for c in subsets_of(POOL4):
-            cases += 1
-            failures += code_domain(b, c) != ((b, c) in realizable)
-    report(3, "endpoint-pair lemma", failures, cases, time.time() - t0, 10.0)
+    suite = suite_endpoint_code_domain()
+    report(3, "endpoint-pair lemma", suite.failures, suite.cases,
+           time.time() - t0, 10.0)
 
 
 def test_criterion_04_membership_and_inclusion_formulas():

@@ -3,12 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from mcdlo.fefvau import (AcceptableSequence, PowerElement,
-                          PowerStructure, ThetaOverflowError, atomic_sequences,
-                          decompose, funky, fv_reduce, reassemble, support,
-                          translate_with_parameters)
+from mcdlo.fefvau import (AcceptableSequence, PowerStructure,
+                          ThetaOverflowError, atomic_sequences, funky,
+                          fv_reduce, translate_with_parameters)
 from mcdlo.models import MsoFin, WsoStructure, restrict
 from mcdlo.order import FinSet
 from mcdlo.semantics import bruteforce_eval, stabilize
@@ -19,10 +17,6 @@ from mcdlo.syntax import (And, Const, Eq, Exists, ExistsPartition, Forall,
 from conftest import PARAM_CORPUS, PARAM_CORPUS_3, POOL3, subsets_of
 
 MO = SIGNATURES["mo"]
-
-points = st.fractions(min_value=0, max_value=Fraction(15, 16),
-                      max_denominator=16)
-finsets = st.lists(points, max_size=5).map(FinSet.from_iterable)
 
 
 def rand_power_formula(rng, names, depth):
@@ -138,38 +132,12 @@ def test_acceptable_sequence_validation():
                            (Eq(Var("Stray"), Var("Stray")),), good.arity)
 
 
-def test_power_element_component_lookup():
-    pe = PowerElement(index=FinSet.of(0, Fraction(1, 2)),
-                      components=(FinSet.of(0), FinSet()))
-    assert pe.component(0) == FinSet.of(0)
-    assert pe.component(Fraction(1, 2)) == FinSet()
-    with pytest.raises(ValueError):
-        PowerElement(index=FinSet.of(0), components=())
-
-
-@given(st.lists(points, min_size=0, max_size=4).map(FinSet.from_iterable),
-       finsets)
-def test_decompose_reassemble_roundtrip(a, b):
-    pe = decompose([a], b)
-    assert reassemble(pe) == b
-    assert pe.index == funky([a])
-
-
 def test_funky_contains_zero_and_union():
     a = FinSet.of(Fraction(1, 2))
     b = FinSet.of(Fraction(1, 4), Fraction(3, 4))
     hull = funky([a, b])
     assert Fraction(0) in hull
     assert set(a.points) | set(b.points) <= set(hull.points)
-
-
-def test_support_reports_hits():
-    theta = parse("(not (= Xc1 bot))", MO)
-    index = FinSet.of(0, Fraction(1, 2))
-    pe = PowerElement(index=index, components=(FinSet.of(0), FinSet()))
-    hits, stable = support(theta, [pe])
-    assert stable
-    assert hits == FinSet.of(0)
 
 
 def _check_parameter_translation(phi_text, param_sets):

@@ -1,9 +1,11 @@
 """Every module of the package uses each name it imports (``__init__.py``,
 which imports to re-export, is exempt), some module of the package
-mentions each private name (``_x``) a module defines at its top level, and
-some line of the repository's code names each public function and class
-of the package, and each method (dunders aside) of its classes as an
-attribute or a quoted string, outside its own definition."""
+mentions each private name (``_x``) a module defines at its top level,
+some line of the package, the scripts or the bench names each public
+function and class of the package outside its own definition (a test of a
+name is no use of it), and some line of the repository's code names each
+method (dunders aside) of its classes as an attribute or a quoted string,
+outside its own definition."""
 
 import ast
 import re
@@ -17,6 +19,16 @@ PACKAGE = ROOT / "src" / "mcdlo"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # the directories whose code may use the package
 CODE_DIRS = ("src", "tests", "scripts", "perfbench")
+# the directories whose code counts as a use of a public name
+USER_DIRS = ("src", "scripts", "perfbench")
+
+
+def code_texts(dirs, root=ROOT) -> list[str]:
+    """The texts of the Python files under root/d for each d of dirs, the
+    package's own modules aside."""
+    package = root / "src" / "mcdlo"
+    return [p.read_text() for d in dirs for p in (root / d).rglob("*.py")
+            if p.parent != package]
 
 
 def _annotations(tree):
@@ -168,12 +180,10 @@ def unused_public_names(sources: dict, others=()) -> list[str]:
 
 def test_no_unused_public_names():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
-    others = [p.read_text() for d in CODE_DIRS
-              for p in (ROOT / d).rglob("*.py") if p.parent != PACKAGE]
-    assert unused_public_names(sources, others) == []
+    assert unused_public_names(sources, code_texts(USER_DIRS)) == []
 
 
-def test_unused_public_name_is_found():
+def test_unused_public_name_is_found(tmp_path):
     sources = {
         "a": ("def used(n):\n    return used(n - 1) if n else 0\n"
               "def loop(n):\n    return loop(n - 1) if n else 0\n"
@@ -185,6 +195,14 @@ def test_unused_public_name_is_found():
     assert unused_public_names(sources, ["x = Box()  # wrapped"]) == [
         "a.loop"]
     assert unused_public_names(sources) == ["a.Box", "a.loop", "a.wrapped"]
+    # a name that only a test's text uses is unused
+    for rel, text in (("tests/test_a.py", "from a import Box, loop\n"),
+                      ("scripts/run.py", "loop(3)  # wrapped\n")):
+        (tmp_path / rel).parent.mkdir()
+        (tmp_path / rel).write_text(text)
+    assert unused_public_names(sources, code_texts(USER_DIRS, tmp_path)) == [
+        "a.Box"]
+    assert unused_public_names(sources, code_texts(CODE_DIRS, tmp_path)) == []
 
 
 def unused_methods(sources: dict, others=()) -> list[str]:
@@ -206,9 +224,7 @@ def unused_methods(sources: dict, others=()) -> list[str]:
 
 def test_no_unused_methods():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
-    others = [p.read_text() for d in CODE_DIRS
-              for p in (ROOT / d).rglob("*.py") if p.parent != PACKAGE]
-    assert unused_methods(sources, others) == []
+    assert unused_methods(sources, code_texts(CODE_DIRS)) == []
 
 
 def test_unused_method_is_found():

@@ -1,12 +1,11 @@
-import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mcdlo.models import (ElementRestriction, EvalError, IntervalRestriction,
-                          LciStructure, MsoFin, WsoStructure, eval_atomic,
-                          eval_term, restrict)
+from mcdlo.models import (ElementRestriction, EvalError, LciStructure,
+                          MsoFin, WsoStructure, eval_atomic, eval_term,
+                          restrict)
 from mcdlo.order import FinSet, IntervalUnion
 from mcdlo.syntax import App, Const, Eq, LtEAtom, SubsetAtom, Var
 
@@ -116,29 +115,6 @@ def test_element_restriction_rejects_outside_points():
         er.to_msofin(FinSet.of(Fraction(1, 4)))
 
 
-@given(st.lists(points, max_size=5))
-def test_interval_restriction_roundtrip(xs):
-    window = IntervalRestriction(Fraction(1, 4), Fraction(3, 4))
-    a = FinSet.from_iterable(xs)
-    embedded = window.embed(a)
-    assert all(Fraction(1, 4) <= p < Fraction(3, 4) for p in embedded.points)
-    assert window.project(embedded) == a
-
-
-@given(st.lists(points, max_size=5))
-def test_interval_restriction_unbounded_window(xs):
-    window = IntervalRestriction(Fraction(1, 2), None)
-    a = FinSet.from_iterable(xs)
-    assert window.project(window.embed(a)) == a
-
-
-def test_interval_restriction_preserves_order():
-    window = IntervalRestriction(Fraction(1, 8), Fraction(5, 8))
-    a = FinSet.of(0, Fraction(1, 4), Fraction(1, 2))
-    emb = window.embed(a)
-    assert list(emb.points) == sorted(window.embed_point(p) for p in a.points)
-
-
-def test_interval_restriction_rejects_empty_window():
-    with pytest.raises(ValueError):
-        IntervalRestriction(Fraction(1, 2), Fraction(1, 2))
+def test_restrict_takes_a_finite_set_only():
+    with pytest.raises(TypeError):
+        restrict(WsoStructure(), (Fraction(1, 4), Fraction(3, 4)))

@@ -62,15 +62,14 @@ def test_sinv_definition(a, b):
 
 @given(finsets)
 def test_successor_predecessor_inverse(a):
-    for p in a.points:
-        s = a.successor(p)
-        if s is not None:
-            assert a.predecessor(s) == p
+    for p, s in zip(a.points, a.points[1:]):
+        assert a.successor(p) == s
     if not a.is_empty():
         assert a.min_set().points[0] == a.points[0]
         assert a.max_set().points[0] == a.points[-1]
-        assert a.predecessor(a.points[0]) is None
         assert a.successor(a.points[-1]) is None
+    with pytest.raises(ValueError):
+        a.successor(Fraction(31, 32))  # finsets draws no such point
 
 
 @given(finsets)

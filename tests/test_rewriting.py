@@ -15,7 +15,7 @@ from mcdlo.models import (EvalError, LciStructure, MsoFin, WsoStructure,
 from mcdlo.order import FinSet, IntervalUnion, enumerate_interval_unions
 from mcdlo.rewriting import (CodePair, code_domain, code_to_interval_union,
                              defeq_translate, is_positive_wso,
-                             l_in_w_translate, lci_existential_rewrite, nnf,
+                             l_in_w_translate, lci_existential_rewrite,
                              notbot_formula,
                              phi_mem, phi_subset, qf_positive_rewrite,
                              relativize, w_in_l_translate)
@@ -390,7 +390,6 @@ def test_lci_existential_rewrite_syntactic_on_random_input():
 
 PARTITION = "(exists-partition (Z) (= Z bot))"
 REJECTS_PARTITION = {
-    "nnf": nnf,
     "qf_positive_rewrite": qf_positive_rewrite,
     "w_in_l_translate": w_in_l_translate,
     "l_in_w_translate": l_in_w_translate,

@@ -831,14 +831,22 @@ def test_stabilize_requires_budget_headroom():
 
 
 def test_deeply_nested_formula_is_an_eval_error():
-    """The searches, the printer and free_vars recurse once per nesting
-    level; past the interpreter's limit each of them says so as an
-    EvalError."""
+    """The searches, the transfer test between budgets, the printer and
+    free_vars recurse once per nesting level; past the interpreter's limit
+    each of them says so as an EvalError."""
     depth = sys.getrecursionlimit() + 200
     f = parse("(not " * depth + "(= bot bot)" + ")" * depth, WSO)
+    # budget 1 answers by short-circuit; the transfer test for budget 2
+    # then walks the deep arm
+    d = parse("(not " * depth + "(= X bot)" + ")" * depth, WSO)
+    arm = Or(Eq(Const("bot"), Const("bot")), d)
     for call in (lambda: grid_eval("w", f), lambda: stabilize("l", f),
                  lambda: bruteforce_eval(MsoFin(2), f),
-                 lambda: print_formula(f), lambda: free_vars(f)):
+                 lambda: print_formula(f), lambda: free_vars(f),
+                 lambda: stabilize("w", arm, {}),
+                 lambda: grid_eval("w", arm, {}, k=1),
+                 lambda: stabilize("l", arm, {}),
+                 lambda: grid_eval("l", arm, {}, k=1)):
         with pytest.raises(EvalError, match="^formula nested too deeply$"):
             call()
 

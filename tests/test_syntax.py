@@ -7,12 +7,13 @@ from mcdlo.models import EvalError, MsoFin
 from mcdlo.semantics import bruteforce_eval
 from mcdlo.semantics import BruteForceEvaluator
 from mcdlo.syntax import (_HEADS, _KINDS, _SHAPE, _SLOTS, _TOKEN_RE, ARITY,
-                          And, App, Const, Eq, Exists, ExistsPartition, Forall,
-                          FreshVars, Implies, LtEAtom, Not, Or, RAtom,
+                          ATOM_TYPES, And, App, Const, Eq, Exists,
+                          ExistsPartition, Forall, FreshVars, Implies,
+                          LtEAtom, Not, Or, RAtom,
                           SIGNATURES, SubsetAtom,
                           SyntaxErrorAt, Var, all_vars, free_vars,
                           is_existential, is_positive_existential,
-                          is_quantifier_free, is_unnested, map_atoms,
+                          is_quantifier_free, map_atoms,
                           map_children,
                           parse, print_formula, subformulas, substitute,
                           subterms, unnest, unnest_atom)
@@ -286,6 +287,23 @@ def test_fresh_vars_avoid_collisions():
     names = {fresh.fresh("C") for _ in range(4)}
     assert len(names) == 4
     assert names.isdisjoint({"C1", "C2"})
+
+
+def _app_count(t) -> int:
+    if isinstance(t, App):
+        return 1 + sum(_app_count(a) for a in t.args)
+    return 0
+
+
+def atom_is_unnested(f) -> bool:
+    if not isinstance(f, ATOM_TYPES):
+        raise TypeError("expected an atomic formula")
+    return _app_count(f.left) + _app_count(f.right) <= 1
+
+
+def is_unnested(f) -> bool:
+    return all(atom_is_unnested(g) for g in subformulas(f)
+               if isinstance(g, ATOM_TYPES))
 
 
 @given(formulas)
