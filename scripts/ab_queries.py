@@ -15,11 +15,14 @@ translation included, so a change of text at the same node count shows.
 The garbage collector is off during a round and collects between rounds:
 each round allocates alike, so a collection would land on the same side of
 the same query every round.  A query's time on a side is its least over the
-rounds; a side's total is the sum of those minima.  The last line printed
-is a JSON object with both totals, their ratio B / A, the number of
-queries whose answers differ and the first few of their qids.  A sum
-dominated by a few long queries (as on l-grid) needs more rounds to settle
-than one of many short ones.
+rounds; a side's total is the sum of those minima.  The same sums are
+printed for each kind of query: its qid without the pass prefix and the
+trailing number (wil, univ, univ-param, fv0-psi, lci>lci), so a saving
+shows where it lands.  The last line printed is a JSON object with both
+totals, their ratio B / A, the sums of each kind, the number of queries
+whose answers differ and the first few of their qids.  A sum dominated by
+a few long queries (as on l-grid) needs more rounds to settle than one of
+many short ones.
 
 The checkouts are only read: no bytecode is written.
 """
@@ -30,6 +33,7 @@ import argparse
 import gc
 import importlib
 import json
+import re
 import runpy
 import signal
 import sys
@@ -76,6 +80,11 @@ def load(root: Path, workload: str, seeds, passes) -> tuple:
     queries = [q for seed in seeds for index in passes
                for q in wl.generate_pass(workload, seed, index)]
     return modules, wl, queries
+
+
+def query_kind(qid: str) -> str:
+    """The qid without its pass prefix and its trailing number."""
+    return re.sub(r"^p\d+-|-?\d+$", "", qid)
 
 
 def run_query(side: tuple, q, done: dict, limit: float) -> tuple:
@@ -133,12 +142,23 @@ def compare(a: Path, b: Path, workload: str, seeds, passes,
         sys.dont_write_bytecode = writes
         signal.signal(signal.SIGALRM, old)
         _activate(before)
-    total_a, total_b = sum(best[0]), sum(best[1])
     differ = [q.qid for q, x, y in zip(qa, *answers) if x != y]
-    return {"workload": workload, "queries": len(qa), "rounds": rounds,
-            "a_s": round(total_a, 6), "b_s": round(total_b, 6),
-            "ratio": round(total_b / total_a, 4),
+    kinds: dict = {}
+    for q, ta, tb in zip(qa, *best):
+        kinds.setdefault(query_kind(q.qid), []).append((ta, tb))
+    return {"workload": workload, "rounds": rounds,
+            **_sums(list(zip(*best))),
+            "kinds": {k: _sums(times) for k, times in kinds.items()},
             "answers_differ": len(differ), "first_differing": differ[:5]}
+
+
+def _sums(times: list) -> dict:
+    """The query count, both sides' sums and their ratio of (A, B) pairs of
+    per-query minima."""
+    total_a, total_b = sum(t[0] for t in times), sum(t[1] for t in times)
+    return {"queries": len(times), "a_s": round(total_a, 6),
+            "b_s": round(total_b, 6),
+            "ratio": round(total_b / total_a, 4) if total_a else None}
 
 
 def main(argv=None) -> int:
@@ -159,6 +179,11 @@ def main(argv=None) -> int:
           f"{result['rounds']} rounds; sum of per-query minima "
           f"A {result['a_s']:.4f} s, B {result['b_s']:.4f} s, "
           f"B/A {result['ratio']:.3f}")
+    for kind, sums in sorted(result["kinds"].items(),
+                             key=lambda item: -item[1]["a_s"]):
+        ratio = "-" if sums["ratio"] is None else f"{sums['ratio']:.3f}"
+        print(f"  {kind:<16} {sums['queries']:5d} queries  "
+              f"A {sums['a_s']:.4f} s  B {sums['b_s']:.4f} s  B/A {ratio}")
     if result["answers_differ"]:
         print(f"{result['answers_differ']} answers differ, first at "
               f"{', '.join(result['first_differing'])}")

@@ -280,7 +280,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
-        # substitution, unnesting and the rewriting walks still recurse
+        # the rewriting walks that do not use map_atoms still recurse
         print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 

@@ -23,11 +23,13 @@ block variable that nothing mentions is dropped.  The split and the plan
 depend on the formula alone, so one query (`grid_eval`, `stabilize`)
 analyses each quantifier node and ranks each value's points among the
 seeds once for all its budgets: a budget's masks are shifts of the ranks.
-Verdicts carry a stabilization flag comparing budgets k and k+1.  The
-budget-k structure is a substructure of the budget-(k+1) one, so a
-verdict that transfers upward (true and existential, or false with an
-existential negation) stands for k+1 without a search.  For the others
-stability is a heuristic, evidence but not proof of the true verdict
+A quantifier-free body that the query evaluates `_HOT` times is compiled
+to a Python function, which every later evaluation calls in place of the
+interpreter; verdicts do not change.  Verdicts carry a stabilization flag
+comparing budgets k and k+1.  The budget-k structure is a substructure of
+the budget-(k+1) one, so a verdict that transfers upward (true and
+existential, or false with an existential negation) stands for k+1 without
+a search.  For the others stability is a heuristic, evidence but not proof
 (the three-atoms sentence of the tests stabilizes on a wrong false).
 """
 
@@ -41,10 +43,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .order import ZERO, FinSet, IntervalUnion, check_point
-from .syntax import (And, App, Eq, Exists, ExistsPartition, Forall, Formula,
-                     Implies, LtEAtom, Not, Or, SubsetAtom, Term, Var,
-                     and_all, conjuncts, free_vars, is_existential,
-                     term_vars)
+from .syntax import (ATOM_TYPES, And, App, Const, Eq, Exists,
+                     ExistsPartition, Forall, Formula, Implies, LtEAtom, Not,
+                     Or, SubsetAtom, Term, Var, and_all, conjuncts, free_vars,
+                     is_existential, term_vars)
 from .models import EvalError, MsoFin
 
 DEFAULT_GRID_CAP = 14
@@ -96,7 +98,6 @@ def _plan(var: str, conjs) -> tuple:
     steps = []
     singleton = False
     vt = Var(var)
-    least = App("min", (vt,))
     for c in conjs:
         kind = type(c)
         if (kind is SubsetAtom and c.left == vt
@@ -110,7 +111,7 @@ def _plan(var: str, conjs) -> tuple:
             if a == vt:
                 if free:
                     return ((_EQUAL, b, None),), False
-                singleton = singleton or b == least
+                singleton = singleton or b == App("min", (vt,))
                 continue
             if type(a) is not App or vt not in a.args:
                 continue
@@ -279,28 +280,104 @@ def _grid_formula(self, f: Formula, env: dict) -> bool:
     if kind is Implies:
         return (not self.formula(f.left, env)) or self.formula(f.right, env)
     if kind is Exists or kind is Forall:
-        hit = self.analysed.get(id(f))
-        if hit is None:
-            hit = self.analyse(f)
-        _, split, plan = hit
-        if split is not None:
-            return self.formula(split, env)
+        hit = self.analysed.get(id(f)) or self.analyse(f)
+        if hit[1] is not None:
+            return self.formula(hit[1], env)
         env = dict(env)
         var, body, formula = f.var, f.body, self.formula
-        if kind is Exists:
-            for mask in self.witnesses(plan, env):
+        stop = kind is Exists  # the body value that decides the node
+        masks, left = self.witnesses(hit[2], env), hit[3]
+        if left > 0:  # count body evaluations until the body is hot
+            for mask in masks:
                 env[var] = mask
-                if formula(body, env):
-                    return True
-            return False
-        for mask in self.witnesses(plan, env):
+                left -= 1
+                if formula(body, env) is stop:
+                    hit[3] = left
+                    return stop
+                if not left:
+                    break
+            hit[3] = left
+            if left:  # the masks ran out first
+                return not stop
+        if not left:
+            formula = _hot_body(self, f, hit, env) or formula
+        for mask in masks:
             env[var] = mask
-            if not formula(body, env):
-                return False
-        return True
+            if formula(body, env) is stop:
+                return stop
+        return not stop
     if kind is ExistsPartition:
         return self.exists_partition(f, env)
     raise EvalError(f"cannot evaluate {f!r}")
+
+
+# ---------------------------------------------------------------------------
+# Hot bodies
+#
+# A quantifier node's entry in `analysed` counts down the evaluations of its
+# body left before the body is hot (-1: not counted).  A hot quantifier-free
+# body is compiled once per query, and the loops of every budget call it,
+# bound to their evaluator's tables.  compile() costs 40-60 evaluations.
+
+_HOT = 128
+_INLINE = {operator.or_: "|", operator.and_: "&", operator.xor: "^"}
+_SOURCE = {Eq: "({} == {})", SubsetAtom: "({} | (_b := {}) == _b)",
+           LtEAtom: "(0 < ((_a := {}) & -_a).bit_length() < {}.bit_length())",
+           And: "({} and {})", Or: "({} or {})", Implies: "(not {} or {})"}
+
+
+def _hot_body(ev, q, hit, env: dict):
+    """q's compiled body bound to ev, called as body(q.body, env), or None
+    to interpret it: it did not compile, or env binds other names of it
+    than at the visit that compiled it."""
+    if hit[4] is None:
+        hit[4] = _compile_body(ev, q, env)
+    if hit[4] is False:
+        return None
+    make, inside, outside = hit[4]
+    if env.keys() >= inside and env.keys().isdisjoint(outside):
+        return make(ev.ops, ev.consts)  # binding costs about 0.2 µs
+
+
+def _compile_body(ev, q, env: dict):
+    """(make, inside, outside) for q's body, or False where it is not
+    quantifier-free, names what neither env nor ev defines, or nests past
+    the parser's limit.  make(ops, consts) reads `inside` and q.var from
+    env, `outside` from consts; a name is only a repr key, as in env['X']."""
+    bound = env.keys() | {q.var}
+    reads: dict = {}  # (table, name) -> its value in the source
+
+    def term(t) -> str:
+        kind = type(t)
+        if kind is App and len(t.args) in (1, 2) and t.op in ev.ops:
+            args = [term(a) for a in t.args]
+            if len(args) == 2 and ev.ops[t.op] in _INLINE:
+                return f"({args[0]} {_INLINE[ev.ops[t.op]]} {args[1]})"
+            op = reads.setdefault(("ops", t.op), f"t{len(reads)}")
+            return f"{op}({', '.join(args)})"
+        if (kind is Var or kind is Const) and t.name in bound:
+            return reads.setdefault(("env", t.name), f"env[{t.name!r}]")
+        if kind is Const and t.name in ev.consts:
+            return reads.setdefault(("consts", t.name), f"t{len(reads)}")
+        raise LookupError(t)
+
+    def formula(g) -> str:
+        kind = type(g)
+        if kind is Not:
+            return f"(not {formula(g.body)})"
+        part = term if kind in ATOM_TYPES else formula
+        return _SOURCE[kind].format(part(g.left), part(g.right))
+
+    try:
+        expr = formula(q.body)
+        args = "".join(f", {arg}={table}[{name!r}]" for (table, name), arg
+                       in reads.items() if table != "env")
+        make = eval(compile(f"lambda ops, consts: lambda _, env{args}: "
+                            f"{expr}", "<hot body>", "eval"), {})
+    except (LookupError, SyntaxError, RecursionError, MemoryError):
+        return False
+    inside = frozenset(n for table, n in reads if table == "env") - {q.var}
+    return make, inside, frozenset(n for t, n in reads if t == "consts")
 
 
 # ---------------------------------------------------------------------------
@@ -400,20 +477,23 @@ class _MaskEvaluator:
             raise EvalError(f"unknown constant {t.name!r} in "
                             f"{self.name}") from None
 
-    def analyse(self, q: Formula) -> tuple:
-        """(q, split, plan) for a quantifier node, stored in `analysed` under
-        q's identity (hashing a node walks its subtree).  The entry holds q
-        and so keeps it alive: no other live node can share its id, and a
-        hit on id(q) is always q's own entry.  A block that its split changes
-        gets the split and no plan, any other quantifier its pruning plan
-        and no split.  The dict may be shared by the evaluators of every
-        budget of one query, since none of this depends on the grid."""
+    def analyse(self, q: Formula) -> list:
+        """[q, split, plan, ...] for a quantifier node, stored in `analysed`
+        under q's identity (hashing a node walks its subtree).  The entry
+        holds q and so keeps it alive: no other live node can share its id,
+        and a hit on id(q) is always q's own entry.  A block that its split
+        changes gets the split and no plan, any other quantifier its pruning
+        plan, no split, and the state of its hot body (`_grid_formula`).
+        The dict may be shared by the evaluators of every budget of one
+        query, since none of this depends on the grid."""
         if type(q) is ExistsPartition:
-            entry = (q, None, _partition_plan(q))
+            entry = [q, None, _partition_plan(q)]
+        elif type(q.body) is type(q) and (split := split_block(q)) is not q:
+            entry = [q, split, None]
         else:
-            split = split_block(q) if type(q.body) is type(q) else q
-            entry = ((q, split, None) if split is not q else
-                     (q, None, _plan(q.var, _guards(type(q), q.body)[0])))
+            plan = _plan(q.var, _guards(type(q), q.body)[0])
+            fixed = plan[0] and plan[0][0][0] == _EQUAL  # one mask a visit
+            entry = [q, None, plan, -1 if fixed else _HOT, None]
         self.analysed[id(q)] = entry
         return entry
 
@@ -457,9 +537,7 @@ class BruteForceEvaluator(_MaskEvaluator):
         conjuncts of shape (subset Z t), with Z a block variable and t free of
         block variables, prune the per-point block choices; the body is split
         into those bounds and the rest once per node (`analyse`)."""
-        hit = self.analysed.get(id(f))
-        if hit is None:
-            hit = self.analyse(f)
+        hit = self.analysed.get(id(f)) or self.analyse(f)
         bounded, rest = hit[2]
         blocks = f.block_vars
         bounds = {z: self.term(t, env) for z, t in bounded}
@@ -705,10 +783,7 @@ def _budget_verdicts(kind: str, f: Formula, assignment: dict,
         _check_size(len(seeds), k, limit)
         below = verdicts.get(k - 1)
         if below is not None and below not in transfers:
-            try:
-                transfers[below] = is_existential(f, below)
-            except RecursionError:
-                raise EvalError("formula nested too deeply") from None
+            transfers[below] = is_existential(f, below)
         if transfers.get(below):
             verdicts[k] = below
             return below

@@ -10,6 +10,7 @@ finds a character position only for the error it raises.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -29,6 +30,18 @@ class SignatureError(ValueError):
 
 class EvalError(ValueError):
     """A formula outside what an evaluator or translator accepts."""
+
+
+def _depth_checked(walk):
+    """A recursive walk that reports a formula nested past the interpreter's
+    limit as an EvalError, not a RecursionError."""
+    @functools.wraps(walk)
+    def checked(*args, **kwargs):
+        try:
+            return walk(*args, **kwargs)
+        except RecursionError:
+            raise EvalError("formula nested too deeply") from None
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +215,7 @@ def map_children(f: Formula, go) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
+@_depth_checked
 def map_atoms(f: Formula, atom, quantifier=None) -> Formula:
     """f with each atom replaced by atom(a), rebuilt through the first-order
     connectives, left before right.  Given `quantifier`, each Exists/Forall
@@ -425,14 +439,12 @@ def _write(node, out: list) -> None:
     out.append(")")
 
 
+@_depth_checked
 def print_formula(f: Formula) -> str:
     if type(f) not in _SHAPE:
         raise TypeError(f"not a formula: {f!r}")
     out: list = []
-    try:
-        _write(f, out)
-    except RecursionError:
-        raise EvalError("formula nested too deeply") from None
+    _write(f, out)
     return "".join(out)
 
 
@@ -450,13 +462,10 @@ def term_vars(t: Term) -> set[str]:
     return out
 
 
+@_depth_checked
 def free_vars(f: Formula) -> set[str]:
-    """The free variables of f; the walk recurses once per nesting level,
-    so a formula nested past the interpreter's limit is an EvalError."""
-    try:
-        return _free_vars(f)
-    except RecursionError:
-        raise EvalError("formula nested too deeply") from None
+    """The free variables of f."""
+    return _free_vars(f)
 
 
 def _free_vars(f: Formula) -> set[str]:
@@ -514,6 +523,7 @@ def _subst_term(t: Term, mapping: dict) -> Term:
     return App(t.op, tuple([_subst_term(a, mapping) for a in t.args]))
 
 
+@_depth_checked
 def substitute(f: Formula, mapping: dict) -> Formula:
     """Simultaneous capture-avoiding substitution of terms for free variables.
 
@@ -637,21 +647,26 @@ def is_positive_existential(f: Formula) -> bool:
     return all(isinstance(g, _PE_NODES) for g in subformulas(f))
 
 
+@_depth_checked
 def is_existential(f: Formula, positive: bool = True) -> bool:
     """No universal quantifier and no existential quantifier under negation
     or on the left of an implication; with positive False, of (not f)."""
+    return _existential(f, positive)
+
+
+def _existential(f: Formula, positive: bool) -> bool:
     kind = type(f)
     if kind is Not:
-        return is_existential(f.body, not positive)
+        return _existential(f.body, not positive)
     if kind is And or kind is Or:
-        return (is_existential(f.left, positive)
-                and is_existential(f.right, positive))
+        return (_existential(f.left, positive)
+                and _existential(f.right, positive))
     if kind is Implies:
-        return (is_existential(f.left, not positive)
-                and is_existential(f.right, positive))
+        return (_existential(f.left, not positive)
+                and _existential(f.right, positive))
     if kind is Exists or kind is Forall:
         return (positive is (kind is Exists)
-                and is_existential(f.body, positive))
+                and _existential(f.body, positive))
     return isinstance(f, ATOM_TYPES + (RAtom,))
 
 

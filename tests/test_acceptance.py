@@ -17,9 +17,9 @@ from pathlib import Path
 
 from mcdlo.fefvau import PowerStructure, atomic_sequences, funky, fv_reduce, \
     translate_with_parameters
-from mcdlo.models import (ElementRestriction, LciStructure, MsoFin,
-                          WsoStructure, eval_atomic, eval_qf, restrict)
-from mcdlo.order import FinSet, IntervalUnion, enumerate_interval_unions
+from mcdlo.models import (MsoFin, WsoStructure, eval_atomic, eval_qf,
+                          restrict)
+from mcdlo.order import FinSet, enumerate_interval_unions
 from mcdlo.rewriting import (defeq_translate, phi_mem, phi_subset,
                              qf_positive_rewrite, is_positive_wso, relativize)
 from mcdlo.selftest import (suite_endpoint_code_domain,
@@ -27,7 +27,7 @@ from mcdlo.selftest import (suite_endpoint_code_domain,
 from mcdlo.semantics import bruteforce_eval, grid_eval, stabilize
 from mcdlo.syntax import (And, App, Const, Eq, Exists, Forall, FreshVars,
                           LtEAtom, Not, Or, RAtom, SIGNATURES, SubsetAtom,
-                          Var, free_vars, parse, print_formula)
+                          Var, free_vars, parse)
 
 from conftest import PARAM_CORPUS, POOL3, POOL4, POOL5, subsets_of
 

@@ -322,18 +322,30 @@ def test_query_outputs_script_is_deterministic():
 def test_ab_queries_script_times_a_checkout_against_itself(capsys,
                                                            tmp_path):
     """With A = B the two sides give the same answers, and the sums of
-    their per-query minima agree within 5%.  Against a copy that names
-    partition blocks apart, every psi prints differently at the same node
-    count, and those answers differ."""
+    their per-query minima agree within 5%; the sums of each kind of query
+    (its qid without pass prefix and number) add up to them.  Against a
+    copy that names partition blocks apart, every psi prints differently
+    at the same node count, and those answers differ."""
     root = Path(__file__).resolve().parent.parent
     main_ = runpy.run_path(str(root / "scripts" / "ab_queries.py"))["main"]
     semantics = sys.modules["mcdlo.semantics"]
     assert main_([str(root), str(root), "--workload", "w-grid", "--seed",
                   "1", "--pass", "0", "--rounds", "5"]) == 0
-    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    lines = capsys.readouterr().out.splitlines()
+    result = json.loads(lines[-1])
     assert result["queries"] > 0 and result["answers_differ"] == 0
     assert result["first_differing"] == []
     assert abs(result["ratio"] - 1) < 0.05
+    kinds = result["kinds"]
+    assert {"cap", "code"} <= set(kinds)
+    assert not any(k.startswith("p0-") or k[-1].isdigit() for k in kinds)
+    for side in ("a_s", "b_s"):
+        assert sum(k[side] for k in kinds.values()) == \
+            pytest.approx(result[side], abs=1e-5)
+    assert sum(k["queries"] for k in kinds.values()) == result["queries"]
+    assert all(set(k) == {"queries", "a_s", "b_s", "ratio"}
+               for k in kinds.values())
+    assert len(lines) == len(kinds) + 2
     assert sys.modules["mcdlo.semantics"] is semantics
 
     other = tmp_path / "other"

@@ -1,11 +1,11 @@
-"""Every module of the package uses each name it imports (``__init__.py``,
-which imports to re-export, is exempt), some module of the package
-mentions each private name (``_x``) a module defines at its top level,
-some line of the package, the scripts or the bench names each public
-function and class of the package outside its own definition (a test of a
-name is no use of it), and some line of the repository's code names each
-method (dunders aside) of its classes as an attribute or a quoted string,
-outside its own definition."""
+"""Every module of the package, test file and script uses each name it
+imports (``__init__.py``, which imports to re-export, is exempt), some
+module of the package mentions each private name (``_x``) a module defines
+at its top level, some line of the package, the scripts or the bench names
+each public function and class of the package outside its own definition
+(a test of a name is no use of it), and some line of the repository's code
+names each method (dunders aside) of its classes as an attribute or a
+quoted string, outside its own definition."""
 
 import ast
 import re
@@ -17,6 +17,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mcdlo"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the files whose imports are checked: the package's modules, then the
+# tests' and the scripts'
+IMPORTERS = MODULES + sorted(p for d in ("tests", "scripts")
+                             for p in (ROOT / d).rglob("*.py"))
 # the directories whose code may use the package
 CODE_DIRS = ("src", "tests", "scripts", "perfbench")
 # the directories whose code counts as a use of a public name
@@ -115,7 +119,8 @@ def unused_private_names(sources: dict) -> list[str]:
                   if name not in mentioned)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: p.name
+                         if p.parent == PACKAGE else str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

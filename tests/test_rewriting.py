@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from mcdlo.fefvau import translate_with_parameters
 from mcdlo.models import (EvalError, LciStructure, MsoFin, WsoStructure,
@@ -17,7 +17,7 @@ from mcdlo.rewriting import (CodePair, code_domain, code_to_interval_union,
                              defeq_translate, is_positive_wso,
                              l_in_w_translate, lci_existential_rewrite,
                              notbot_formula,
-                             phi_mem, phi_subset, qf_positive_rewrite,
+                             phi_mem, qf_positive_rewrite,
                              relativize, w_in_l_translate)
 from mcdlo.rewriting import _neq_template
 from mcdlo.semantics import bruteforce_eval, stabilize
@@ -26,7 +26,7 @@ from mcdlo.syntax import (And, App, Const, Eq, Not, Or,
                           is_existential, is_positive_existential, parse,
                           print_formula, substitute)
 
-from conftest import POOL3, POOL4, subsets_of
+from conftest import POOL3, subsets_of
 
 W = WsoStructure()
 L = LciStructure()

@@ -10,15 +10,17 @@ from hypothesis import given, settings, strategies as st
 from mcdlo.models import (EvalError, LciStructure, MsoFin, WsoStructure,
                           eval_atomic, eval_term)
 from mcdlo.order import FinSet, IntervalUnion, enumerate_interval_unions
+from mcdlo import semantics
 from mcdlo.semantics import (BruteForceEvaluator, EvalReport, GridCapError,
                              GridLEvaluator, GridWEvaluator, _w_seed_points,
                              bruteforce_eval, grid_eval, make_grid,
                              split_block, stabilize)
-from mcdlo.rewriting import relativize
+from mcdlo.rewriting import relativize, w_in_l_translate
 from mcdlo.syntax import (ARITY, And, App, Const, Eq, Exists,
-                          ExistsPartition, Forall, Implies, LtEAtom, Not, Or,
-                          SIGNATURES, SubsetAtom, Var, and_all, free_vars,
-                          is_existential, parse, print_formula, subformulas)
+                          ExistsPartition, Forall, FreshVars, Implies,
+                          LtEAtom, Not, Or, SIGNATURES, SubsetAtom, Var,
+                          and_all, free_vars, is_existential, map_atoms, parse,
+                          print_formula, subformulas, substitute, unnest)
 
 from conftest import THREE_ATOMS_MINISCOPED, THREE_ATOMS_PRENEX, subsets_of
 
@@ -783,6 +785,134 @@ def test_partition_body_is_split_once_per_node(monkeypatch):
     assert analysed[id(outer)] == analysed[id(inner)] == 1
 
 
+# -- hot bodies: compiled once a query, with the interpreter's answers -------
+
+HOT_EVALUATORS = {"msofin": lambda: BruteForceEvaluator(4),
+                  "w": lambda: GridWEvaluator(range(3), 1),
+                  "l": lambda: GridLEvaluator(range(2), 1)}
+
+
+def hot_bodies(kind):
+    """Quantifier-free bodies over X, Y and Z with every op and constant of
+    the kind's table and all three atoms."""
+    binary, unary, consts, _, _ = KERNEL_SIGNATURES[kind]
+    leaves = st.sampled_from([Var("X"), Var("Y"), Var("Z")]
+                             + [Const(c) for c in consts])
+    terms = st.recursive(leaves, lambda inner: st.one_of(
+        st.tuples(st.sampled_from(binary), inner, inner)
+        .map(lambda t: App(t[0], t[1:])),
+        st.tuples(st.sampled_from(unary), inner)
+        .map(lambda t: App(t[0], t[1:]))), max_leaves=4)
+    atoms = st.tuples(st.sampled_from([Eq, SubsetAtom, LtEAtom]), terms,
+                      terms).map(lambda t: t[0](t[1], t[2]))
+    return st.recursive(atoms, lambda inner: st.one_of(
+        inner.map(Not),
+        st.tuples(st.sampled_from([And, Or, Implies]), inner, inner)
+        .map(lambda t: t[0](t[1], t[2]))), max_leaves=4)
+
+
+def hot_outcome(kind, f, env, hot):
+    """(verdict or EvalError message, evaluator) of f on a fresh evaluator
+    of the kind whose bodies are hot from their first evaluation, or
+    never."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "_HOT", 0 if hot else 10 ** 9)
+        ev = HOT_EVALUATORS[kind]()
+        try:
+            return ev.formula(f, env), ev
+        except EvalError as exc:
+            return str(exc), ev
+
+
+@pytest.mark.parametrize("kind", sorted(HOT_EVALUATORS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_compiled_bodies_match_the_interpreter(kind, data):
+    """A quantifier-free body compiled at its first evaluation gives the
+    interpreter's verdict or error, also where an env entry or the
+    quantified variable shadows a constant (zero) that the body names."""
+    body = data.draw(hot_bodies(kind), label="body")
+    quant = data.draw(st.sampled_from([Exists, Forall]), label="quantifier")
+    var = data.draw(st.sampled_from(["Z", "zero"]), label="var")
+    f = quant(var, body)
+    ev = HOT_EVALUATORS[kind]()
+    masks = (list(ev.valid_masks(0, ev.full)) if kind == "l"
+             else range(ev.full + 1))
+    names = data.draw(st.sampled_from([("X", "Y"), ("X", "Y", "zero")]),
+                      label="env names")
+    env = {n: data.draw(st.sampled_from(masks), label=n) for n in names}
+    compiled, ev = hot_outcome(kind, f, env, hot=True)
+    assert compiled == hot_outcome(kind, f, env, hot=False)[0]
+    entry = ev.analysed[id(f)]
+    if var == "Z" and entry[3] != -1:  # every name bound, nothing fixed
+        assert entry[4], "the body was not compiled"
+
+
+@pytest.mark.parametrize("bad", [Var("Q"), App("foo", (Var("X"),)),
+                                 Const("nope")], ids=str)
+def test_a_hot_loop_raises_the_interpreters_eval_error(bad):
+    """An unbound variable, an unknown op or an unknown constant that a ∀
+    loop meets only at its last mask, long after its body is hot, raises
+    the interpreter's EvalError: the body is not compiled."""
+    f = Forall("X", Or(Not(Eq(Var("X"), Const("top"))),
+                       Eq(bad, Const("bot"))))
+    want, _ = hot_outcome("msofin", f, {}, hot=False)
+    assert want.startswith(("unbound variable", "function", "unknown"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "_HOT", 4)
+        ev = BruteForceEvaluator(4)
+        with pytest.raises(EvalError) as got:
+            ev.formula(f, {})
+    assert str(got.value) == want
+    assert ev.analysed[id(f)][4] is False
+
+
+def test_a_compiled_body_is_used_only_where_env_binds_its_names():
+    """N reads the constant zero ({0}) where it is compiled, and the value
+    of the quantified variable zero under ∃zero, where env binds the name:
+    there the interpreter runs it.  N holds for zero = bot only."""
+    x, zero = Var("X"), Const("zero")
+    n = Forall("X", Or(SubsetAtom(zero, x), SubsetAtom(x, zero)))
+    f = And(Not(n), Exists("zero", n))
+    assert hot_outcome("msofin", f, {}, hot=False)[0] is True
+    verdict, ev = hot_outcome("msofin", f, {}, hot=True)
+    assert verdict is True and ev.analysed[id(n)][4]
+
+
+@pytest.mark.parametrize("depth,verdict", [(300, True), (301, False)])
+def test_a_hot_body_past_the_parser_limit_is_interpreted(depth, verdict):
+    """Python's parser refuses the source of a body nested 300 deep, so the
+    body is interpreted, with the same verdict."""
+    body = Eq(Var("X"), Var("X"))
+    for _ in range(depth):
+        body = Not(body)
+    f = Forall("X", body)
+    got, ev = hot_outcome("msofin", f, {}, hot=True)
+    assert got is verdict
+    assert ev.analysed[id(f)][4] is False
+
+
+def test_compile_runs_once_for_each_hot_body_of_a_query(monkeypatch):
+    """A query whose loops all stay under _HOT compiles nothing; the
+    distributive law compiles its innermost body once for all its budgets,
+    and its quantified bodies never."""
+    calls = []
+
+    def counting_compile(*args):
+        calls.append(args[0])
+        return compile(*args)
+
+    monkeypatch.setattr(semantics, "compile", counting_compile,
+                        raising=False)
+    cold = parse("(forall X (= (union X X) X))", WSO)
+    assert stabilize("w", cold, {}, kmax=2).verdict is True
+    assert calls == []
+    law = parse("(forall X (forall Y (forall Z (= (inter X (union Y Z)) "
+                "(union (inter X Y) (inter X Z))))))", SIGNATURES["lci"])
+    assert stabilize("l", law, {}) == EvalReport(True, 1, True)
+    assert len(calls) == 1
+
+
 def test_grid_cap_enforced(monkeypatch):
     with pytest.raises(GridCapError):
         make_grid([Fraction(i, 10) for i in range(8)], 3, cap=10)
@@ -831,9 +961,10 @@ def test_stabilize_requires_budget_headroom():
 
 
 def test_deeply_nested_formula_is_an_eval_error():
-    """The searches, the transfer test between budgets, the printer and
-    free_vars recurse once per nesting level; past the interpreter's limit
-    each of them says so as an EvalError."""
+    """The searches, the transfer test between budgets (is_existential),
+    the printer, free_vars, substitute and map_atoms (and so unnest and the
+    translators built on it) recurse once per nesting level; past the
+    interpreter's limit each of them says so as an EvalError."""
     depth = sys.getrecursionlimit() + 200
     f = parse("(not " * depth + "(= bot bot)" + ")" * depth, WSO)
     # budget 1 answers by short-circuit; the transfer test for budget 2
@@ -846,7 +977,12 @@ def test_deeply_nested_formula_is_an_eval_error():
                  lambda: stabilize("w", arm, {}),
                  lambda: grid_eval("w", arm, {}, k=1),
                  lambda: stabilize("l", arm, {}),
-                 lambda: grid_eval("l", arm, {}, k=1)):
+                 lambda: grid_eval("l", arm, {}, k=1),
+                 lambda: substitute(d, {"X": Var("Y")}),
+                 lambda: map_atoms(f, lambda a: a),
+                 lambda: unnest(f, FreshVars()),
+                 lambda: w_in_l_translate(f),
+                 lambda: is_existential(f), lambda: is_existential(d, False)):
         with pytest.raises(EvalError, match="^formula nested too deeply$"):
             call()
 
