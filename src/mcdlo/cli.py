@@ -279,10 +279,6 @@ def main(argv=None) -> int:
     except (EvalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RecursionError:
-        # the rewriting walks that do not use map_atoms still recurse
-        print("error: formula nested too deeply", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

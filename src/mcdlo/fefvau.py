@@ -43,7 +43,7 @@ from .syntax import (ATOM_TYPES, And, App, Const, Eq, Exists, ExistsPartition,
                      Forall, Formula, FreshVars, Implies, LtEAtom, Not, Or,
                      RAtom, SubsetAtom, Var, all_vars, and_all, conjuncts,
                      free_vars, map_atoms, print_formula, subformulas,
-                     substitute, subterms)
+                     substitute, subterms, _depth_checked)
 from .models import EvalError, MsoFin
 from .semantics import (BruteForceEvaluator, EvalReport, bruteforce_eval,
                         stabilize)
@@ -51,7 +51,7 @@ from .semantics import (BruteForceEvaluator, EvalReport, bruteforce_eval,
 
 class ThetaOverflowError(EvalError):
     """An existential step of `fv_reduce` has more realizable sign patterns
-    than its theta cap allows (every pattern, without a callback)."""
+    than DEFAULT_THETA_CAP allows (every pattern, without a callback)."""
 
 
 DEFAULT_THETA_CAP = 4096
@@ -110,8 +110,8 @@ def atomic_sequences() -> dict:
 # ---------------------------------------------------------------------------
 # The reduction
 
-def fv_reduce(phi: Formula, context: Optional[Sequence[str]] = None,
-              theta_cap: int = DEFAULT_THETA_CAP,
+@_depth_checked
+def fv_reduce(phi: Formula, context: Sequence[str],
               realizable: Optional[Callable[[Formula, Any], Any]] = None
               ) -> AcceptableSequence:
     """Fold a power-signature formula into one acceptable sequence whose
@@ -141,13 +141,11 @@ def fv_reduce(phi: Formula, context: Optional[Sequence[str]] = None,
     sentences and union terms, so every block is live by construction.  A
     partition body is the blocks' guards followed by the conjuncts of the
     substituted index formula.  Without a callback every pattern is kept,
-    which is the classical 2^m construction.  More than `theta_cap` leaves in
-    one step raise `ThetaOverflowError`."""
+    which is the classical 2^m construction.  More than DEFAULT_THETA_CAP
+    leaves in one step raise `ThetaOverflowError`."""
     if realizable is None:
         def realizable(eta: Formula, within: Any) -> bool:
             return True
-    if context is None:
-        context = tuple(sorted(free_vars(phi)))
     # support and block names share one generator, so every partition block
     # is named apart from every other, across nesting levels too
     fresh = FreshVars(context)
@@ -187,10 +185,11 @@ def fv_reduce(phi: Formula, context: Optional[Sequence[str]] = None,
             def search(j: int, literals: tuple, positive: frozenset,
                        eta: Formula, within: Any) -> None:
                 if j == m:
-                    if len(leaves) == theta_cap:
+                    if len(leaves) == DEFAULT_THETA_CAP:
                         raise ThetaOverflowError(
-                            f"existential step has more than {theta_cap} "
-                            f"realizable patterns of {m} component formulas")
+                            "existential step has more than "
+                            f"{DEFAULT_THETA_CAP} realizable patterns of {m} "
+                            "component formulas")
                     leaves.append((positive, eta))
                     return
                 theta = thetas[j]
@@ -363,6 +362,7 @@ def default_sentence_oracle(sentence: Formula) -> EvalReport:
     return stabilize("w", sentence, {}, kmax=4)
 
 
+@_depth_checked
 def translate_with_parameters(
         phi: Formula, params: Sequence[str],
         oracle: Optional[Callable[[Formula], EvalReport]] = None

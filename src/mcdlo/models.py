@@ -207,9 +207,6 @@ class ElementRestriction:
         except KeyError as exc:
             raise EvalError(f"{a} is not a subset of the region {self.region}") from exc
 
-    def from_msofin(self, s: frozenset) -> FinSet:
-        return FinSet.from_iterable(self.region.points[k] for k in s)
-
 
 def restrict(structure: WsoStructure, region: FinSet) -> ElementRestriction:
     """The restriction of W(I) to the subsets of a finite set."""

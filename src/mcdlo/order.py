@@ -16,10 +16,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 Rat = Fraction
 
 
-def rat(value, denominator=None) -> Rat:
-    """Build an exact rational, accepting ints, strings like "3/4", or pairs."""
-    if denominator is not None:
-        return Fraction(value, denominator)
+def rat(value) -> Rat:
+    """Build an exact rational, accepting ints and strings like "3/4"."""
     return value if type(value) is Fraction else Fraction(value)
 
 
@@ -244,15 +242,6 @@ class IntervalUnion:
 
     def right_endpoints(self) -> FinSet:
         return FinSet.from_iterable(r for _, r in self.intervals if r is not None)
-
-    def is_finite_set(self) -> bool:
-        """True when every interval is degenerate (the l(X) = r(X) predicate)."""
-        return self.left_endpoints() == self.right_endpoints()
-
-    def to_finset(self) -> FinSet:
-        if not self.is_finite_set():
-            raise ValueError(f"{self} is not a finite point set")
-        return self.left_endpoints()
 
     def to_json(self) -> list[list[str]]:
         return [[format_rat(l), "inf" if r is None else format_rat(r)]

@@ -16,7 +16,7 @@ Five families of rewriting live here:
   existential ones by routing each negated equation through endpoint codes
   and the positive rewriting of W(I).
 * `relativize` — quantifiers of an MO formula are guarded to range over the
-  subsets of a set or the finite sets inside a window.
+  subsets of a set.
 
 The quantifier-free rewriters map literals: `_literals` is the one polarity
 walk, and `_unfold_differences` the one term map for differences.
@@ -34,7 +34,7 @@ from .syntax import (ATOM_TYPES, And, App, Const, Eq, EvalError, Exists,
                      SignatureError, SubsetAtom, Term, Var, all_vars, and_all,
                      formula_ops, is_existential, is_positive_existential,
                      is_quantifier_free, map_atoms, or_all, substitute,
-                     unnest)
+                     unnest, _depth_checked)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +160,7 @@ def _unfold_differences(literal: Formula, fresh: FreshVars) -> Formula:
     return out
 
 
+@_depth_checked
 def qf_positive_rewrite(f: Formula) -> Formula:
     """Positive existential equivalent over W(I) of a quantifier-free formula
     (difference and symmetric-difference extensions allowed in the input).
@@ -380,6 +381,7 @@ def _functional_to_mo(f: Formula, src: str, fresh: FreshVars) -> Formula:
                      lambda g: _functional_atom_to_mo(g, src, fresh))
 
 
+@_depth_checked
 def defeq_translate(f: Formula, src: str, dst: str) -> Formula:
     """Truth-preserving translation along one of the definitional
     equivalences: relational <-> finite-powerset, relational <-> W(I).
@@ -405,44 +407,18 @@ def _guarded(quant, var: str, guard: Formula, body: Formula) -> Formula:
     return Forall(var, Implies(guard, body))
 
 
-def relativize(f: Formula, mode) -> Formula:
-    """Quantifier relativisation of an MO formula.
-
-    mode = ("element", Y): restriction to the subsets of Y; quantifiers are
-    guarded with X being a subset of Y.
-
-    mode = ("interval", I, J): restriction to finite sets inside the window
-    [i, j), where I and J are atom-valued variables naming the endpoints;
-    quantifiers are guarded by every atom of X lying in the window.
-    """
-    kind = mode[0]
-    params = mode[1:]
-    fresh = FreshVars(all_vars(f) | set(params))
-    for name in sorted(set(params) & all_vars(f)):
-        # the guard variables must be fresh for f; rename bound uses
-        f = _rename_bound(f, name, fresh.fresh(name))
-
-    if kind == "element":
-        yvar = params[0]
-
-        def guard(x: str) -> Formula:
-            return SubsetAtom(Var(x), Var(yvar))
-    elif kind == "interval":
-        ivar, jvar = params
-
-        def guard(x: str) -> Formula:
-            z = fresh.fresh("Z")
-            window = And(Or(LtEAtom(Var(ivar), Var(z)), Eq(Var(ivar), Var(z))),
-                         LtEAtom(Var(z), Var(jvar)))
-            return Forall(z, Implies(And(at_mo(Var(z), fresh),
-                                         SubsetAtom(Var(z), Var(x))),
-                                     window))
-    else:
-        raise ValueError(f"unknown relativisation mode {kind!r}")
+@_depth_checked
+def relativize(f: Formula, y: str) -> Formula:
+    """Relativisation of an MO formula to the subsets of Y: each quantifier
+    is guarded with its variable X being a subset of Y.  A bound Y in f is
+    renamed first, so the guard's Y is the free one."""
+    names = all_vars(f)
+    if y in names:
+        f = _rename_bound(f, y, FreshVars(names).fresh(y))
 
     def quantifier(q: Formula, go) -> Formula:
-        # the guard draws its fresh names before the body is relativized
-        return _guarded(type(q), q.var, guard(q.var), go(q.body))
+        return _guarded(type(q), q.var, SubsetAtom(Var(q.var), Var(y)),
+                        go(q.body))
 
     return map_atoms(f, lambda g: g, quantifier)
 
@@ -494,6 +470,7 @@ def _sinv_witness_lci(a: Term, b: Term, c: Term, fresh: FreshVars) -> Formula:
     return Exists(bp, And(Eq(bpv, _inter(a, b)), Or(degenerate, proper)))
 
 
+@_depth_checked
 def w_in_l_translate(f: Formula) -> Formula:
     """Interpret a W(I) formula in L(I): quantifiers relativise to the
     finite sets, shared operations pass through, and the successor-preimage
@@ -548,13 +525,6 @@ class CodePair:
 
     def to_interval_union(self) -> IntervalUnion:
         return code_to_interval_union(self.left, self.right)
-
-    def to_json(self) -> dict:
-        return {"l": self.left.to_json(), "r": self.right.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CodePair":
-        return cls(FinSet.from_json(data["l"]), FinSet.from_json(data["r"]))
 
 
 def code_domain(b: FinSet, c: FinSet) -> bool:
@@ -666,6 +636,7 @@ def _code_terms(t: Term) -> tuple[Term, Term]:
     raise EvalError(f"atom not unnested: {t!r}")
 
 
+@_depth_checked
 def l_in_w_translate(f: Formula) -> Formula:
     """Interpret an L(I) formula in W(I): each variable X becomes the pair of
     endpoint sets (X_l, X_r), quantifiers are guarded by code realizability,
@@ -738,6 +709,7 @@ def _neq_template() -> Formula:
     return w_in_l_translate(positive)
 
 
+@_depth_checked
 def lci_existential_rewrite(f: Formula) -> Formula:
     """Existential equivalent over L(I) of a quantifier-free formula: positive
     atoms pass through, and each negated equation becomes the statement that

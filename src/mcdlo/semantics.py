@@ -46,7 +46,7 @@ from .order import ZERO, FinSet, IntervalUnion, check_point
 from .syntax import (ATOM_TYPES, And, App, Const, Eq, Exists,
                      ExistsPartition, Forall, Formula, Implies, LtEAtom, Not,
                      Or, SubsetAtom, Term, Var, and_all, conjuncts, free_vars,
-                     is_existential, term_vars)
+                     is_existential, term_vars, _depth_checked)
 from .models import EvalError, MsoFin
 
 DEFAULT_GRID_CAP = 14
@@ -566,6 +566,7 @@ class BruteForceEvaluator(_MaskEvaluator):
         return False
 
 
+@_depth_checked
 def bruteforce_eval(m: MsoFin, f: Formula,
                     assignment: Optional[dict] = None) -> bool:
     """Exact truth of f in MSO(n); assignment maps variables to frozensets of
@@ -577,17 +578,7 @@ def bruteforce_eval(m: MsoFin, f: Formula,
     for name, v in env.items():
         if not 0 <= v <= ev.full:
             raise EvalError(f"{name} = {v}: not a mask of {ev.name}")
-    return _search(ev, f, env)
-
-
-def _search(ev: _MaskEvaluator, f: Formula, env: dict) -> bool:
-    """The evaluator's truth of f; the search recurses once per nesting
-    level, so a formula nested past the interpreter's limit is an
-    EvalError."""
-    try:
-        return ev.formula(f, env)
-    except RecursionError:
-        raise EvalError("formula nested too deeply") from None
+    return ev.formula(f, env)
 
 
 # ---------------------------------------------------------------------------
@@ -788,13 +779,14 @@ def _budget_verdicts(kind: str, f: Formula, assignment: dict,
             verdicts[k] = below
             return below
         ev = evaluator(seeds, k, analysed)
-        verdicts[k] = _search(ev, f, {name: ev.mask(r, ev.step)
-                                      for name, r in ranks.items()})
+        verdicts[k] = ev.formula(f, {name: ev.mask(r, ev.step)
+                                     for name, r in ranks.items()})
         return verdicts[k]
 
     return verdict
 
 
+@_depth_checked
 def grid_eval(kind: str, f: Formula, assignment: Optional[dict] = None,
               k: int = 1, cap: Optional[int] = None) -> EvalReport:
     """Budgeted witness-search truth value over W(I) (kind='w') or L(I)
@@ -807,6 +799,7 @@ def grid_eval(kind: str, f: Formula, assignment: Optional[dict] = None,
     return EvalReport(verdict=v1, budget_used=k, stabilized=(v1 == v2))
 
 
+@_depth_checked
 def stabilize(kind: str, f: Formula, assignment: Optional[dict] = None,
               kmax: int = 4, cap: Optional[int] = None) -> EvalReport:
     """Verdict at the least budget k <= kmax whose verdict agrees with k+1,

@@ -33,8 +33,9 @@ class EvalError(ValueError):
 
 
 def _depth_checked(walk):
-    """A recursive walk that reports a formula nested past the interpreter's
-    limit as an EvalError, not a RecursionError."""
+    """A recursive walk, or a public entry point over such walks, that
+    reports a formula or term nested past the interpreter's limit as an
+    EvalError, not a RecursionError."""
     @functools.wraps(walk)
     def checked(*args, **kwargs):
         try:

@@ -352,7 +352,7 @@ def test_criterion_09_relativisation_soundness():
         # premise: the sentence holds in every finite powerset structure
         for n in range(5):
             assert bruteforce_eval(MsoFin(n), phi, {}), text
-        guarded = Forall("Wrel", relativize(phi, ("element", "Wrel")))
+        guarded = Forall("Wrel", relativize(phi, "Wrel"))
         cases += 1
         rep = grid_eval("w", guarded, {}, k=2)
         failures += not rep.verdict

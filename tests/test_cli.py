@@ -258,14 +258,16 @@ def test_eval_prenex_block_answers_like_miniscoped(capsys, tmp_path,
 
 def test_deeply_nested_formula_is_a_usage_error(capsys):
     """A formula nested past the interpreter's recursion limit is reported,
-    not a traceback with the exit code of a false verdict."""
+    not a traceback with the exit code of a false verdict; the entry points
+    say so, and the CLI only prints it."""
     depth = sys.getrecursionlimit() + 200
     formula = "(not " * depth + "(= bot bot)" + ")" * depth
-    code, out, err = run_cli(capsys, "eval", "--sig", "wso",
-                             "--formula", formula)
-    assert code == EXIT_USAGE
-    assert out is None
-    assert err == "error: formula nested too deeply\n"
+    for command in (("eval", "--sig", "wso"),
+                    ("translate", "--from", "lci", "--to", "lci")):
+        code, out, err = run_cli(capsys, *command, "--formula", formula)
+        assert code == EXIT_USAGE
+        assert out is None
+        assert err == "error: formula nested too deeply\n"
 
 
 def test_selftest_command(capsys):

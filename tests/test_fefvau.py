@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mcdlo import fefvau
 from mcdlo.fefvau import (AcceptableSequence, PowerStructure,
                           ThetaOverflowError, atomic_sequences, funky,
                           fv_reduce, translate_with_parameters)
@@ -111,14 +112,15 @@ def test_shared_existential_subformula_keeps_its_meaning(realizable):
                                          realizable=realizable))
 
 
-def test_fv_reduce_respects_theta_cap():
+def test_fv_reduce_respects_theta_cap(monkeypatch):
     rng = random.Random(3)
     phi = rand_power_formula(rng, ["U", "V"], 2)
     while not any(isinstance(phi, t) for t in (Exists, Forall, And, Or, Not)):
         phi = rand_power_formula(rng, ["U", "V"], 2)
     big = Exists("U", Exists("V", And(phi, Not(phi))))
+    monkeypatch.setattr(fefvau, "DEFAULT_THETA_CAP", 1)
     with pytest.raises(ThetaOverflowError):
-        fv_reduce(big, context=(), theta_cap=1)
+        fv_reduce(big, context=())
 
 
 def test_acceptable_sequence_validation():

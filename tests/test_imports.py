@@ -1,11 +1,11 @@
 """Every module of the package, test file and script uses each name it
 imports (``__init__.py``, which imports to re-export, is exempt), some
 module of the package mentions each private name (``_x``) a module defines
-at its top level, some line of the package, the scripts or the bench names
-each public function and class of the package outside its own definition
-(a test of a name is no use of it), and some line of the repository's code
-names each method (dunders aside) of its classes as an attribute or a
-quoted string, outside its own definition."""
+at its top level, and some line of the package, the scripts or the bench
+names each public function and class of the package, and each method
+(dunders aside) of its classes as an attribute or a quoted string, outside
+its own definition.  A test of a name is no use of it, and neither is a
+re-export in ``__init__.py``."""
 
 import ast
 import re
@@ -23,8 +23,19 @@ IMPORTERS = MODULES + sorted(p for d in ("tests", "scripts")
                              for p in (ROOT / d).rglob("*.py"))
 # the directories whose code may use the package
 CODE_DIRS = ("src", "tests", "scripts", "perfbench")
-# the directories whose code counts as a use of a public name
+# the directories whose code counts as a use of a public name or a method
 USER_DIRS = ("src", "scripts", "perfbench")
+# reference implementations that only tests use, to check the package's
+# answers against: the successor of a point within a set, and the
+# enumerable generalised power that fv_reduce's sequences are checked on
+REFERENCE_ORACLES = ("fefvau.PowerStructure", "order.FinSet.successor")
+
+
+def package_sources(package=PACKAGE) -> dict:
+    """Module name to source for the package's modules, ``__init__.py``
+    aside: a re-export is no use of a name."""
+    return {p.stem: p.read_text() for p in package.glob("*.py")
+            if p.name != "__init__.py"}
 
 
 def code_texts(dirs, root=ROOT) -> list[str]:
@@ -184,8 +195,8 @@ def unused_public_names(sources: dict, others=()) -> list[str]:
 
 
 def test_no_unused_public_names():
-    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
-    assert unused_public_names(sources, code_texts(USER_DIRS)) == []
+    unused = unused_public_names(package_sources(), code_texts(USER_DIRS))
+    assert [name for name in unused if name not in REFERENCE_ORACLES] == []
 
 
 def test_unused_public_name_is_found(tmp_path):
@@ -208,6 +219,14 @@ def test_unused_public_name_is_found(tmp_path):
     assert unused_public_names(sources, code_texts(USER_DIRS, tmp_path)) == [
         "a.Box"]
     assert unused_public_names(sources, code_texts(CODE_DIRS, tmp_path)) == []
+    # nor is a re-export in __init__.py
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    for name, text in (("__init__", "from .a import kept, used\n"),
+                       ("a", "def kept():\n    pass\ndef used():\n    pass\n"),
+                       ("b", "from .a import used\n")):
+        (package / f"{name}.py").write_text(text)
+    assert unused_public_names(package_sources(package)) == ["a.kept"]
 
 
 def unused_methods(sources: dict, others=()) -> list[str]:
@@ -228,8 +247,8 @@ def unused_methods(sources: dict, others=()) -> list[str]:
 
 
 def test_no_unused_methods():
-    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
-    assert unused_methods(sources, code_texts(CODE_DIRS)) == []
+    unused = unused_methods(package_sources(), code_texts(USER_DIRS))
+    assert [name for name in unused if name not in REFERENCE_ORACLES] == []
 
 
 def test_unused_method_is_found():

@@ -30,7 +30,9 @@ def test_rat_roundtrip(p):
 
 def test_rat_builders():
     assert rat("3/4") == Fraction(3, 4)
-    assert rat(1, 2) == Fraction(1, 2)
+    assert rat(0) == Fraction(0)
+    half = Fraction(1, 2)
+    assert rat(half) is half
 
 
 def test_point_range_enforced():
@@ -110,8 +112,8 @@ def test_interval_union_json_roundtrip(u):
 @given(point_lists)
 def test_of_points_membership(xs):
     u = IntervalUnion.of_points(xs)
-    assert u.is_finite_set()
-    assert set(u.to_finset().points) == set(Fraction(x) for x in xs)
+    # a finite set: l(u) = r(u), the points themselves
+    assert u.left_endpoints() == u.right_endpoints() == FinSet.from_iterable(xs)
 
 
 @given(interval_unions)

@@ -15,7 +15,10 @@ from mcdlo.semantics import (BruteForceEvaluator, EvalReport, GridCapError,
                              GridLEvaluator, GridWEvaluator, _w_seed_points,
                              bruteforce_eval, grid_eval, make_grid,
                              split_block, stabilize)
-from mcdlo.rewriting import relativize, w_in_l_translate
+from mcdlo.fefvau import fv_reduce, translate_with_parameters
+from mcdlo.rewriting import (defeq_translate, l_in_w_translate,
+                             lci_existential_rewrite, qf_positive_rewrite,
+                             relativize, w_in_l_translate)
 from mcdlo.syntax import (ARITY, And, App, Const, Eq, Exists,
                           ExistsPartition, Forall, FreshVars, Implies,
                           LtEAtom, Not, Or, SIGNATURES, SubsetAtom, Var,
@@ -962,15 +965,20 @@ def test_stabilize_requires_budget_headroom():
 
 def test_deeply_nested_formula_is_an_eval_error():
     """The searches, the transfer test between budgets (is_existential),
-    the printer, free_vars, substitute and map_atoms (and so unnest and the
-    translators built on it) recurse once per nesting level; past the
-    interpreter's limit each of them says so as an EvalError."""
+    the printer, free_vars, substitute, map_atoms, the translators and the
+    Feferman-Vaught pipeline recurse once per nesting level of a formula
+    or a term; past the interpreter's limit each of them says so as an
+    EvalError."""
     depth = sys.getrecursionlimit() + 200
     f = parse("(not " * depth + "(= bot bot)" + ")" * depth, WSO)
     # budget 1 answers by short-circuit; the transfer test for budget 2
     # then walks the deep arm
     d = parse("(not " * depth + "(= X bot)" + ")" * depth, WSO)
     arm = Or(Eq(Const("bot"), Const("bot")), d)
+    chain = Var("X")
+    for _ in range(depth):
+        chain = App("union", (chain, Var("X")))
+    u = Eq(chain, Const("bot"))
     for call in (lambda: grid_eval("w", f), lambda: stabilize("l", f),
                  lambda: bruteforce_eval(MsoFin(2), f),
                  lambda: print_formula(f), lambda: free_vars(f),
@@ -982,7 +990,14 @@ def test_deeply_nested_formula_is_an_eval_error():
                  lambda: map_atoms(f, lambda a: a),
                  lambda: unnest(f, FreshVars()),
                  lambda: w_in_l_translate(f),
-                 lambda: is_existential(f), lambda: is_existential(d, False)):
+                 lambda: is_existential(f), lambda: is_existential(d, False),
+                 lambda: defeq_translate(u, "wso", "mo"),
+                 lambda: qf_positive_rewrite(u),
+                 lambda: w_in_l_translate(u), lambda: l_in_w_translate(u),
+                 lambda: lci_existential_rewrite(d),
+                 lambda: relativize(u, "Y"),
+                 lambda: fv_reduce(u, context=("X",)),
+                 lambda: translate_with_parameters(u, ("X",))):
         with pytest.raises(EvalError, match="^formula nested too deeply$"):
             call()
 
@@ -1003,7 +1018,7 @@ def test_stabilize_lci():
 
 def test_relativize_element_mode():
     f = parse("(forall X (exists Y (subset X Y)))", MO)
-    g = relativize(f, ("element", "W"))
+    g = relativize(f, "W")
     # the guard is inserted on both quantifiers
     assert isinstance(g, Forall)
     assert isinstance(g.body, Implies)
@@ -1016,35 +1031,15 @@ def test_relativize_element_mode():
 
 def test_relativize_renames_clashing_bound_variable():
     f = parse("(exists W (= W bot))", MO)
-    g = relativize(f, ("element", "W"))
+    g = relativize(f, "W")
     assert isinstance(g, Exists)
     assert g.var != "W"
     assert free_vars(g) == {"W"}
 
 
-def test_relativize_interval_mode_pins_fresh_names():
-    # each guard draws Z then at_mo's W before its body is relativized
-    f = parse("(forall X (exists Y (and (subset Y X) (ltE X Y))))", MO)
-
-    def guard(z, w, x):
-        atom = (f"(and (not (= {z} bot)) (forall {w} (implies (subset {w} {z})"
-                f" (or (= {w} bot) (= {w} {z})))))")
-        return (f"(forall {z} (implies (and {atom} (subset {z} {x}))"
-                f" (and (or (ltE I {z}) (= I {z})) (ltE {z} J))))")
-
-    assert print_formula(relativize(f, ("interval", "I", "J"))) == (
-        f"(forall X (implies {guard('Z1', 'W2', 'X')} (exists Y (and "
-        f"{guard('Z3', 'W4', 'Y')} (and (subset Y X) (ltE X Y))))))")
-    # a bound use of a guard variable is renamed before any guard is drawn
-    f = parse("(exists J (forall X (subset X J)))", MO)
-    assert print_formula(relativize(f, ("interval", "I", "J"))) == (
-        f"(exists J1 (and {guard('Z2', 'W3', 'J1')} (forall X (implies "
-        f"{guard('Z4', 'W5', 'X')} (subset X J1)))))")
-
-
 def test_relativized_sentence_truth():
     # "some nonempty set exists" restricted to subsets of W
     f = parse("(exists X (not (= X bot)))", MO)
-    g = relativize(f, ("element", "W"))
+    g = relativize(f, "W")
     assert stabilize("w", g, {"W": FinSet.of(Fraction(1, 2))}).verdict
     assert not stabilize("w", g, {"W": FinSet()}).verdict
